@@ -20,8 +20,8 @@
 //! candidates yields a score-sorted skyline (what the SFS machinery relies on).
 
 use crate::error::{Result, SkylineError};
-use crate::kernel::{kernel_mode, CompiledOrder, CompiledRelation, KernelMode};
-use crate::lanes::PackedLanes;
+use crate::kernel::{CompiledOrder, CompiledRelation};
+use crate::lanes::{stage_probe, PackedLanes};
 use crate::value::{PointId, ValueId};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -41,19 +41,13 @@ pub fn merge_skylines(relation: &CompiledRelation, fragments: &[&[PointId]]) -> 
         candidates.extend_from_slice(fragment);
     }
     let block = relation.block();
-    let alive = if kernel_mode() == KernelMode::Packed {
-        packed_eliminate(
-            relation.orders(),
-            block.numeric_dims(),
-            candidates.len(),
-            |c| block.numeric_row(candidates[c]),
-            |c| block.nominal_row(candidates[c]),
-        )
-    } else {
-        eliminate(candidates.len(), |p, q| {
-            relation.dominates(candidates[p], candidates[q])
-        })
-    };
+    let alive = eliminate(
+        relation.orders(),
+        block.numeric_dims(),
+        candidates.len(),
+        |c| block.numeric_row(candidates[c]),
+        |c| block.nominal_row(candidates[c]),
+    );
     candidates
         .into_iter()
         .zip(alive)
@@ -61,13 +55,15 @@ pub fn merge_skylines(relation: &CompiledRelation, fragments: &[&[PointId]]) -> 
         .collect()
 }
 
-/// The bit-parallel form of [`eliminate`]: all candidates are packed into 64-row lane
-/// blocks up front, then each surviving candidate probes the lanes **strictly before its
-/// own** (a prefix `limit`) for a dominator and, failing that, mask-evicts the earlier
-/// lanes it dominates. Equivalent to the scalar interleaved loop: if an earlier survivor
-/// `k` dominates `c`, transitivity puts anything `c` could kill inside `k`'s kill set, and
-/// `k` already cleared it on its own turn.
-fn packed_eliminate<'a>(
+/// The shared cross-candidate elimination: candidate `c` dies when an earlier survivor
+/// dominates it, and kills earlier survivors it dominates. Output flags preserve input order.
+///
+/// All candidates are packed into 64-row lane blocks up front, then each surviving candidate
+/// probes the lanes **strictly before its own** (a prefix `limit`) for a dominator and,
+/// failing that, mask-evicts the earlier lanes it dominates. Probing before evicting loses
+/// nothing: if an earlier survivor `k` dominates `c`, transitivity puts anything `c` could
+/// kill inside `k`'s kill set, and `k` already cleared it on its own turn.
+fn eliminate<'a>(
     orders: &[CompiledOrder],
     numeric_dims: usize,
     n: usize,
@@ -77,22 +73,15 @@ fn packed_eliminate<'a>(
     let mut lanes = PackedLanes::default();
     lanes.reset(numeric_dims, orders.len());
     let mut probe: Vec<u16> = Vec::with_capacity(orders.len() * 2);
-    let stage_probe = |probe: &mut Vec<u16>, c: usize| {
-        probe.clear();
-        for (order, &v) in orders.iter().zip(nominal_row(c)) {
-            probe.push(v);
-            probe.push(order.layer(v));
-        }
-    };
     for c in 0..n {
-        stage_probe(&mut probe, c);
+        stage_probe(&mut probe, orders, nominal_row(c));
         lanes.push(numeric_row(c), &probe);
     }
     for c in 0..n {
         if !lanes.is_valid(c) {
             continue;
         }
-        stage_probe(&mut probe, c);
+        stage_probe(&mut probe, orders, nominal_row(c));
         let pn = numeric_row(c);
         if lanes.first_dominator(orders, pn, &probe, c).is_some() {
             lanes.clear_valid(c);
@@ -101,30 +90,6 @@ fn packed_eliminate<'a>(
         }
     }
     (0..n).map(|c| lanes.is_valid(c)).collect()
-}
-
-/// The shared cross-candidate elimination: index `c` dies when an earlier survivor dominates
-/// it, and kills earlier survivors it dominates. Output flags preserve input order.
-fn eliminate(n: usize, dominates: impl Fn(usize, usize) -> bool) -> Vec<bool> {
-    let mut alive = vec![true; n];
-    for c in 0..n {
-        if !alive[c] {
-            continue;
-        }
-        for k in 0..c {
-            if !alive[k] {
-                continue;
-            }
-            if dominates(k, c) {
-                alive[c] = false;
-                break;
-            }
-            if dominates(c, k) {
-                alive[k] = false;
-            }
-        }
-    }
-    alive
 }
 
 /// Push-based cross-source skyline merge on compiled nominal orders.
@@ -206,17 +171,13 @@ impl SkylineMerger {
     /// Runs the cross-source elimination and returns the surviving `(source, id)` tags in
     /// push order. The merger is left empty, ready for the next query.
     pub fn merge(&mut self) -> Vec<(usize, PointId)> {
-        let alive = if kernel_mode() == KernelMode::Packed {
-            packed_eliminate(
-                &self.orders,
-                self.numeric_dims,
-                self.tags.len(),
-                |c| self.numeric_row(c),
-                |c| self.nominal_row(c),
-            )
-        } else {
-            eliminate(self.tags.len(), |p, q| self.dominates(p, q))
-        };
+        let alive = eliminate(
+            &self.orders,
+            self.numeric_dims,
+            self.tags.len(),
+            |c| self.numeric_row(c),
+            |c| self.nominal_row(c),
+        );
         let survivors = self
             .tags
             .iter()
@@ -236,30 +197,6 @@ impl SkylineMerger {
     fn nominal_row(&self, c: usize) -> &[ValueId] {
         let dims = self.orders.len();
         &self.nominals[c * dims..(c + 1) * dims]
-    }
-
-    /// Candidate-index dominance, mirroring [`CompiledRelation::dominates`].
-    fn dominates(&self, p: usize, q: usize) -> bool {
-        let mut strict = false;
-        for (pv, qv) in self.numeric_row(p).iter().zip(self.numeric_row(q)) {
-            if pv > qv {
-                return false;
-            }
-            strict |= pv < qv;
-        }
-        for (order, (&pv, &qv)) in self
-            .orders
-            .iter()
-            .zip(self.nominal_row(p).iter().zip(self.nominal_row(q)))
-        {
-            if pv != qv {
-                if !order.strictly_preferred(pv, qv) {
-                    return false;
-                }
-                strict = true;
-            }
-        }
-        strict
     }
 }
 
@@ -333,11 +270,11 @@ pub struct ProgressiveMerger {
     /// means sources are never timed out.
     laggard_timeout: Option<Duration>,
     pending: BinaryHeap<Reverse<PendingCandidate>>,
-    /// Row-major values of the published survivors (the only dominators later candidates
-    /// ever need to be tested against).
-    published_numerics: Vec<f64>,
-    published_nominals: Vec<ValueId>,
-    published: usize,
+    /// The published survivors (the only dominators later candidates ever need to be tested
+    /// against), packed 64 to a lane block. Published rows are final, so no lane is evicted.
+    published: PackedLanes,
+    /// Scratch for the candidate's `(value id, layered rank)` pairs.
+    probe: Vec<u16>,
 }
 
 impl ProgressiveMerger {
@@ -345,6 +282,8 @@ impl ProgressiveMerger {
     /// compiled order per nominal dimension (compile them once per query, as for
     /// [`SkylineMerger`]).
     pub fn new(orders: Vec<CompiledOrder>, numeric_dims: usize, sources: usize) -> Self {
+        let mut published = PackedLanes::default();
+        published.reset(numeric_dims, orders.len());
         Self {
             orders,
             numeric_dims,
@@ -352,9 +291,8 @@ impl ProgressiveMerger {
             last_progress: vec![Instant::now(); sources],
             laggard_timeout: None,
             pending: BinaryHeap::new(),
-            published_numerics: Vec::new(),
-            published_nominals: Vec::new(),
-            published: 0,
+            published,
+            probe: Vec::new(),
         }
     }
 
@@ -422,7 +360,7 @@ impl ProgressiveMerger {
 
     /// Number of rows published (confirmed) so far.
     pub fn published(&self) -> usize {
-        self.published
+        self.published.len()
     }
 
     /// True once every source has finished and every buffered candidate was resolved.
@@ -514,43 +452,17 @@ impl ProgressiveMerger {
                 break;
             }
             let Reverse(c) = self.pending.pop().expect("peeked above");
-            if !self.dominated_by_published(&c.numeric, &c.nominal) {
-                self.published_numerics.extend_from_slice(&c.numeric);
-                self.published_nominals.extend_from_slice(&c.nominal);
-                self.published += 1;
+            stage_probe(&mut self.probe, &self.orders, &c.nominal);
+            let limit = self.published.len();
+            if self
+                .published
+                .first_dominator(&self.orders, &c.numeric, &self.probe, limit)
+                .is_none()
+            {
+                self.published.push(&c.numeric, &self.probe);
                 out.push((c.source, c.id));
             }
         }
-    }
-
-    /// True when some already-published survivor dominates the candidate. Mirrors
-    /// [`SkylineMerger`]'s dominance exactly (NaN neither blocks nor establishes dominance).
-    fn dominated_by_published(&self, numeric: &[f64], nominal: &[ValueId]) -> bool {
-        let nd = self.numeric_dims;
-        let md = self.orders.len();
-        'survivors: for s in 0..self.published {
-            let sn = &self.published_numerics[s * nd..(s + 1) * nd];
-            let sm = &self.published_nominals[s * md..(s + 1) * md];
-            let mut strict = false;
-            for (qv, pv) in sn.iter().zip(numeric) {
-                if qv > pv {
-                    continue 'survivors;
-                }
-                strict |= qv < pv;
-            }
-            for (order, (&qv, &pv)) in self.orders.iter().zip(sm.iter().zip(nominal)) {
-                if qv != pv {
-                    if !order.strictly_preferred(qv, pv) {
-                        continue 'survivors;
-                    }
-                    strict = true;
-                }
-            }
-            if strict {
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -928,5 +840,13 @@ mod tests {
         merger.push(0, 0, &[f64::NAN, 1.0], &[]).unwrap();
         merger.push(0, 1, &[2.0, 1.0], &[]).unwrap();
         assert_eq!(merger.merge(), vec![(0, 0), (0, 1)]);
+        // The progressive merger's published lanes follow the same rule.
+        let mut progressive = ProgressiveMerger::new(Vec::new(), 2, 1);
+        progressive.offer(0, 0, 1.0, &[f64::NAN, 1.0], &[]).unwrap();
+        progressive.offer(0, 1, 2.0, &[2.0, 1.0], &[]).unwrap();
+        progressive.finish(0);
+        let mut out = Vec::new();
+        progressive.drain_ready(&mut out);
+        assert_eq!(out, vec![(0, 0), (0, 1)]);
     }
 }

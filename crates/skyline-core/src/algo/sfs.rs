@@ -91,7 +91,7 @@ pub fn scan_presorted_sink<D: Dominance + ?Sized, S: ResultSink>(
 ) -> Result<AlgoStats> {
     let mut stats = AlgoStats::default();
     // The accepted window lives in the implementation's own representation (the compiled
-    // kernel densifies accepted rows for sequential walks); the test count matches the naive
+    // kernel packs accepted rows into 64-row lanes); the test count matches the naive
     // loop — tests up to and including the first dominator.
     let mut window = D::Window::default();
     ctx.reset_window(&mut window);

@@ -52,6 +52,24 @@ pub struct Dataset {
     len: usize,
 }
 
+/// Rejects NaN and ±∞ in numeric cells. Every SFS variant presorts by a score that must be
+/// monotone in dominance; a NaN score has no place in that order, so a single non-finite
+/// cell would make the sorted scans disagree with BNL.
+fn check_finite(schema: &Schema, numeric_index: usize, v: f64) -> Result<()> {
+    if v.is_finite() {
+        return Ok(());
+    }
+    let name = schema
+        .numeric_dims()
+        .get(numeric_index)
+        .and_then(|&i| schema.dimension(i))
+        .map(|d| d.name().to_string())
+        .unwrap_or_default();
+    Err(SkylineError::InvalidArgument(format!(
+        "numeric dimension `{name}` only accepts finite values, got {v}"
+    )))
+}
+
 impl Dataset {
     /// Creates an empty dataset for `schema`.
     pub fn empty(schema: Schema) -> Self {
@@ -69,6 +87,7 @@ impl Dataset {
     ///
     /// `numeric_cols[j]` must correspond to the `j`-th numeric dimension of `schema` and
     /// `nominal_cols[j]` to the `j`-th nominal dimension; all columns must share one length.
+    /// Numeric cells must be finite.
     pub fn from_columns(
         schema: Schema,
         numeric_cols: Vec<Vec<f64>>,
@@ -87,11 +106,14 @@ impl Dataset {
             .map(Vec::len)
             .or_else(|| nominal_cols.first().map(Vec::len))
             .unwrap_or(0);
-        for col in &numeric_cols {
+        for (j, col) in numeric_cols.iter().enumerate() {
             if col.len() != len {
                 return Err(SkylineError::InvalidArgument(
                     "ragged numeric columns".into(),
                 ));
+            }
+            for &v in col {
+                check_finite(&schema, j, v)?;
             }
         }
         for (j, col) in nominal_cols.iter().enumerate() {
@@ -174,6 +196,10 @@ impl Dataset {
 
     /// Appends a row given values for the numeric dimensions (in numeric-index order) and
     /// value ids for the nominal dimensions (in nominal-index order). Returns the new row id.
+    ///
+    /// Non-finite numeric values (NaN, ±∞) are rejected with
+    /// [`SkylineError::InvalidArgument`]; every insert path of the engines and services
+    /// funnels through here.
     pub fn push_row_ids(&mut self, numeric: &[f64], nominal: &[ValueId]) -> Result<PointId> {
         if numeric.len() != self.schema.numeric_count()
             || nominal.len() != self.schema.nominal_count()
@@ -182,6 +208,9 @@ impl Dataset {
                 expected: self.schema.arity(),
                 got: numeric.len() + nominal.len(),
             });
+        }
+        for (j, &v) in numeric.iter().enumerate() {
+            check_finite(&self.schema, j, v)?;
         }
         for (j, &v) in nominal.iter().enumerate() {
             let card = self.schema.nominal_domain(j).map_or(0, |d| d.cardinality());
@@ -297,6 +326,7 @@ impl DatasetBuilder {
 
     /// Appends one row. `values` must supply one [`RowValue`] per schema dimension, in schema
     /// order. Nominal labels that are not yet part of the domain are interned on the fly.
+    /// Non-finite numeric values (NaN, ±∞) are rejected with [`SkylineError::InvalidArgument`].
     pub fn push_row<I, V>(&mut self, values: I) -> Result<&mut Self>
     where
         I: IntoIterator<Item = V>,
@@ -323,7 +353,10 @@ impl DatasetBuilder {
                 .map(|d| matches!(d.kind(), DimensionKind::Numeric))
                 .unwrap_or(false);
             match (value, kind_is_numeric) {
-                (RowValue::Num(v), true) => numeric.push(v),
+                (RowValue::Num(v), true) => {
+                    check_finite(&self.schema, numeric.len(), v)?;
+                    numeric.push(v);
+                }
                 (RowValue::Label(label), false) => {
                     let dim = self.schema.dimension_mut(i).expect("dimension exists");
                     let id = dim.domain_mut().expect("nominal dimension").intern(label);
@@ -489,6 +522,37 @@ mod tests {
         assert!(d.push_row_ids(&[2.0, 1.0], &[0]).is_err());
         assert_eq!(d.len(), 2);
         assert_eq!(d.nominal(0, 0), 1);
+    }
+
+    #[test]
+    fn non_finite_numeric_cells_are_rejected_at_ingress() {
+        let schema = Schema::new(vec![
+            Dimension::numeric("x"),
+            Dimension::nominal_with_labels("g", ["a", "b"]),
+        ])
+        .unwrap();
+        let mut d = Dataset::empty(schema.clone());
+        let mut b = DatasetBuilder::new(schema.clone());
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                d.push_row_ids(&[v], &[0]),
+                Err(SkylineError::InvalidArgument(_))
+            ));
+            assert!(matches!(
+                b.push_row([RowValue::Num(v), "a".into()]),
+                Err(SkylineError::InvalidArgument(_))
+            ));
+            assert!(matches!(
+                Dataset::from_columns(schema.clone(), vec![vec![1.0, v]], vec![vec![0, 1]]),
+                Err(SkylineError::InvalidArgument(_))
+            ));
+        }
+        assert!(
+            d.is_empty(),
+            "a rejected row leaves no partial cells behind"
+        );
+        assert!(b.is_empty());
+        assert_eq!(d.push_row_ids(&[f64::MAX], &[1]).unwrap(), 0);
     }
 
     #[test]

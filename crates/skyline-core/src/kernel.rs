@@ -21,81 +21,24 @@
 //!   nominal cardinalities are tiny (4–40 in the paper), so this costs well under a
 //!   microsecond per query.
 //! * [`CompiledRelation`] — the kernel itself: a shared block plus one compiled order per
-//!   nominal dimension. Behaviourally identical to [`DominanceContext`] (asserted by the
+//!   nominal dimension. Behaviourally identical to the reference context (asserted by the
 //!   `kernel_equivalence` property suite) but with the inner loop reduced to contiguous loads,
-//!   integer compares and single-word bit tests.
+//!   integer compares and single-word bit tests, and its elimination scans run on 64-row
+//!   packed lanes.
 //!
-//! Algorithms accept either implementation through the [`Dominance`] trait, keeping
-//! [`DominanceContext`] as the executable specification the kernel is checked against.
+//! This is the one dominance path production code runs. Algorithms accept either
+//! implementation through the [`Dominance`] trait, keeping [`crate::DominanceContext`] as the
+//! reference oracle the kernel is checked against.
 
 use crate::dataset::Dataset;
-use crate::dominance::{DomRelation, Dominance, DominanceContext};
+use crate::dominance::{DomRelation, Dominance};
 use crate::error::{Result, SkylineError};
-use crate::lanes::PackedLanes;
+use crate::lanes::{stage_probe, PackedLanes};
 use crate::order::{PartialOrder, Preference, Template};
 use crate::schema::Schema;
 use crate::value::{PointId, ValueId};
-use std::cell::Cell;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
-
-/// Which dominance inner loop the compiled kernel runs.
-///
-/// Both modes are behaviourally identical (the `kernel_equivalence` property suite pins them
-/// pair-for-pair against the reference [`DominanceContext`]); the choice is purely a
-/// performance/debuggability trade:
-///
-/// * [`KernelMode::Packed`] (the default) runs the bit-parallel window: accepted rows are
-///   packed 64 to a block and one pass of `u64` mask algebra tests the candidate against all
-///   of them at once;
-/// * [`KernelMode::Scalar`] keeps the PR 3 compiled walk — one row at a time with an early
-///   out per dimension — as the fallback for bisection, for sanitizer runs, and for the CI
-///   leg that keeps the fallback from rotting.
-///
-/// The process-wide default comes from the `SKYLINE_KERNEL` environment variable (`scalar`
-/// selects the fallback, anything else the packed kernel), read once on first use. Tests and
-/// benches that need both modes in one process use [`with_kernel_mode`], which overrides the
-/// default for the calling thread only — worker threads spawned by parallel builds consult
-/// the process-wide default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Bit-parallel 64-lane window walk (the default).
-    Packed,
-    /// Row-at-a-time compiled walk (the PR 3 path), kept as the runtime fallback.
-    Scalar,
-}
-
-fn env_kernel_mode() -> KernelMode {
-    static MODE: OnceLock<KernelMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("SKYLINE_KERNEL") {
-        Ok(v) if v.eq_ignore_ascii_case("scalar") => KernelMode::Scalar,
-        _ => KernelMode::Packed,
-    })
-}
-
-thread_local! {
-    static MODE_OVERRIDE: Cell<Option<KernelMode>> = const { Cell::new(None) };
-}
-
-/// The kernel mode in effect on the calling thread: the innermost [`with_kernel_mode`]
-/// override if one is active, else the process-wide `SKYLINE_KERNEL` default.
-pub fn kernel_mode() -> KernelMode {
-    MODE_OVERRIDE.get().unwrap_or_else(env_kernel_mode)
-}
-
-/// Runs `f` with the calling thread's kernel mode forced to `mode`, restoring the previous
-/// override afterwards (also on panic). This is how equivalence tests and benches compare
-/// both inner loops inside one process; it does not affect other threads.
-pub fn with_kernel_mode<T>(mode: KernelMode, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<KernelMode>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MODE_OVERRIDE.set(self.0);
-        }
-    }
-    let _restore = Restore(MODE_OVERRIDE.replace(Some(mode)));
-    f()
-}
+use std::sync::Arc;
 
 /// Version counter of a mutable dataset: every row insertion or logical deletion bumps it.
 ///
@@ -613,33 +556,25 @@ impl CompiledOrder {
     }
 }
 
-/// Densified accepted window for elimination scans over a [`CompiledRelation`].
+/// Packed accepted window for elimination scans over a [`CompiledRelation`].
 ///
-/// Every accepted point's rows are *copied* into contiguous buffers, so testing the next
-/// candidate against the whole window is one sequential walk — no id indirection, no strided
-/// loads. Nominal cells are stored as `(value id, layered rank)` pairs: for ranked (weak)
-/// orders the dominance test is then two integer compares on data already streaming through
-/// the loop, with no closure-probe loads at all. Windows are reusable scratch:
-/// [`Dominance::reset_window`] keeps the allocations, so a worker thread serving thousands of
-/// queries re-runs its scans allocation-free.
+/// Every accepted point is packed into 64-row lane blocks, so testing the next candidate
+/// against the whole window is one pass of `u64` mask algebra per block. Nominal cells are
+/// stored as `(value id, layered rank)` lanes: for ranked (weak) orders the dominance test
+/// is then pure integer masks, with no closure-probe loads at all. The member ids stay
+/// lane-aligned beside the lanes for the scalar peek, which tests the first few members with
+/// the early-exiting pairwise test before any mask pass. Windows are reusable scratch:
+/// [`Dominance::reset_window`] keeps the allocations, so a worker thread serving thousands
+/// of queries re-runs its scans allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct DenseWindow {
-    numeric_dims: usize,
-    nominal_dims: usize,
-    nums: Vec<f64>,
-    /// `(id, rank)` interleaved: stride `2 * nominal_dims` per point.
-    noms: Vec<u16>,
     /// Per-call scratch holding the candidate point's `(id, rank)` pairs.
     probe: Vec<u16>,
-    len: usize,
-    /// The bit-parallel form of the window, populated instead of `nums`/`noms` when the
-    /// window was reset under [`KernelMode::Packed`].
+    /// The accepted rows, 64 to a lane block.
     lanes: PackedLanes,
-    /// Member point ids, lane-aligned with `lanes`; only maintained in packed mode, where
-    /// the scalar-peek prefix test needs to reach back to the block rows.
+    /// Member point ids, lane-aligned with `lanes`, so the scalar peek can reach back to
+    /// the block rows.
     members: Vec<PointId>,
-    /// Which representation this window was bound to at the last reset.
-    packed: bool,
     /// Adaptive scalar-peek depth; persists across resets so reused scratch windows carry
     /// their recent kill-depth signal from scan to scan.
     peek: PeekDepth,
@@ -655,8 +590,7 @@ pub struct DenseWindow {
 ///
 /// The effective depth is **adaptive** per window ([`PeekDepth`]): each scan tracks an EWMA
 /// of its recent kill depths and sizes the peek to roughly twice that, within
-/// [`WINDOW_PEEK_MIN`]..=[`WINDOW_PEEK_MAX`]. The `SKYLINE_WINDOW_PEEK` environment variable
-/// (or [`with_window_peek`] in tests) pins the depth instead.
+/// [`WINDOW_PEEK_MIN`]..=[`WINDOW_PEEK_MAX`].
 const WINDOW_PEEK: usize = 8;
 
 /// Lower bound of the adaptive peek depth — never give up the first couple of scalar tests.
@@ -665,86 +599,43 @@ const WINDOW_PEEK_MIN: usize = 2;
 /// Upper bound of the adaptive peek depth — beyond this the 64-lane walk wins regardless.
 const WINDOW_PEEK_MAX: usize = 32;
 
-fn env_window_peek() -> Option<usize> {
-    static PEEK: OnceLock<Option<usize>> = OnceLock::new();
-    *PEEK.get_or_init(|| {
-        std::env::var("SKYLINE_WINDOW_PEEK")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|d| d.min(64))
-    })
-}
-
-thread_local! {
-    static PEEK_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// The pinned peek depth in effect on the calling thread, if any: the innermost
-/// [`with_window_peek`] override, else the process-wide `SKYLINE_WINDOW_PEEK` setting.
-/// `None` means the depth adapts per scan.
-pub fn window_peek_override() -> Option<usize> {
-    PEEK_OVERRIDE.get().or_else(env_window_peek)
-}
-
-/// Runs `f` with the calling thread's scalar-peek depth pinned to `depth` (0 disables the
-/// peek entirely), restoring the previous override afterwards — the [`with_kernel_mode`]
-/// idiom for the peek knob. Equivalence tests sweep this to pin packed ≡ scalar at every
-/// depth; it does not affect other threads.
-pub fn with_window_peek<T>(depth: usize, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PEEK_OVERRIDE.set(self.0);
-        }
-    }
-    let _restore = Restore(PEEK_OVERRIDE.replace(Some(depth.min(64))));
-    f()
-}
-
 /// Adaptive scalar-peek depth: a per-window EWMA of recent kill depths (the 1-based index of
 /// the first dominator found) sized so that the typical kill stays on the cheap scalar path
 /// while deep survivors fall through to the packed walk quickly. The state persists across
-/// [`Dominance::reset_window`] — reused scratch windows carry their recent-workload signal
-/// from scan to scan — and a pinned depth (env var or [`with_window_peek`]) disables
-/// adaptation for reproducibility.
+/// [`Dominance::reset_window`], so reused scratch windows carry their recent-workload signal
+/// from scan to scan.
 ///
 /// Correctness does not depend on the depth: the peek tests a prefix of the window with the
-/// scalar kernel and the packed pass re-covers every lane, so any depth (including 0) yields
-/// the same accept/reject decision for every candidate.
+/// pairwise test and the packed pass re-covers every lane, so any depth (including 0) yields
+/// the same accept/reject decision for every candidate. The unit tests pin the depth to sweep
+/// that claim.
 #[derive(Debug, Clone)]
 struct PeekDepth {
     depth: usize,
     /// EWMA of observed kill depths, scaled by 8 for integer arithmetic.
     ewma8: u32,
+    /// Frozen depth (unit tests only): observations no longer move it.
     pinned: bool,
 }
 
 impl Default for PeekDepth {
     fn default() -> Self {
-        let mut peek = Self {
-            depth: WINDOW_PEEK,
-            ewma8: (WINDOW_PEEK as u32) * 8,
-            pinned: false,
-        };
-        peek.resync();
-        peek
+        match pinned_peek() {
+            Some(d) => Self {
+                depth: d,
+                ewma8: (d as u32) * 8,
+                pinned: true,
+            },
+            None => Self {
+                depth: WINDOW_PEEK,
+                ewma8: (WINDOW_PEEK as u32) * 8,
+                pinned: false,
+            },
+        }
     }
 }
 
 impl PeekDepth {
-    /// Re-reads the pin (env/test override); called on every window reset so a window
-    /// created outside a [`with_window_peek`] scope still honours it.
-    fn resync(&mut self) {
-        match window_peek_override() {
-            Some(d) => {
-                self.depth = d;
-                self.ewma8 = (d as u32) * 8;
-                self.pinned = true;
-            }
-            None => self.pinned = false,
-        }
-    }
-
     /// Records one observed kill depth (1-based) and re-targets the peek to roughly twice
     /// the recent typical depth: `ewma ← (3·ewma + d) / 4`, `depth ← clamp(2·ewma)`.
     #[inline]
@@ -758,25 +649,56 @@ impl PeekDepth {
     }
 }
 
+/// Production scans always adapt the peek depth.
+#[cfg(not(test))]
+fn pinned_peek() -> Option<usize> {
+    None
+}
+
+#[cfg(test)]
+thread_local! {
+    static PEEK_PIN: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// The depth pinned by [`with_pinned_peek`] on the calling thread, if any.
+#[cfg(test)]
+fn pinned_peek() -> Option<usize> {
+    PEEK_PIN.get()
+}
+
+/// Runs `f` with every peek depth created on the calling thread pinned to `depth` (0 disables
+/// the peek entirely), restoring the previous pin afterwards, also on panic.
+#[cfg(test)]
+fn with_pinned_peek<T>(depth: usize, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PEEK_PIN.set(self.0);
+        }
+    }
+    let _restore = Restore(PEEK_PIN.replace(Some(depth)));
+    f()
+}
+
 impl DenseWindow {
     /// Number of points in the window.
     pub fn len(&self) -> usize {
-        self.len
+        self.members.len()
     }
 
     /// True when no point has been pushed since the last reset.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.members.is_empty()
     }
 }
 
 /// The compiled dominance kernel: a shared [`PointBlock`] plus one [`CompiledOrder`] per
 /// nominal dimension.
 ///
-/// Semantically identical to a [`DominanceContext`] over the same dataset and orders (the
-/// `kernel_equivalence` property suite asserts `dominates` and `compare` agree point-for-point)
-/// but an order of magnitude cheaper per pairwise test: contiguous row loads, no per-cell
-/// column indirection, and single-word bit probes for the nominal orders.
+/// Semantically identical to a [`crate::DominanceContext`] over the same dataset and orders
+/// (the `kernel_equivalence` property suite asserts `dominates` and `compare` agree
+/// point-for-point) but an order of magnitude cheaper per pairwise test: contiguous row
+/// loads, no per-cell column indirection, and single-word bit probes for the nominal orders.
 ///
 /// The block is shared via `Arc`, so compiling a relation for a new query preference costs
 /// only the per-dimension O(c²) order flattening — the point layout is reused across every
@@ -785,9 +707,6 @@ impl DenseWindow {
 pub struct CompiledRelation {
     block: Arc<PointBlock>,
     orders: Vec<CompiledOrder>,
-    /// True when every order is ranked (a weak order) — the window walk then skips the order
-    /// objects entirely and compares layered ranks.
-    all_ranked: bool,
 }
 
 impl CompiledRelation {
@@ -797,13 +716,8 @@ impl CompiledRelation {
     /// order's cardinality cannot cover a value id present in the block.
     pub fn new(block: Arc<PointBlock>, orders: &[PartialOrder]) -> Result<Self> {
         Self::validate_cardinalities(&block, orders.len(), |j| orders[j].cardinality())?;
-        let orders: Vec<CompiledOrder> = orders.iter().map(CompiledOrder::compile).collect();
-        let all_ranked = orders.iter().all(CompiledOrder::is_ranked);
-        Ok(Self {
-            block,
-            orders,
-            all_ranked,
-        })
+        let orders = orders.iter().map(CompiledOrder::compile).collect();
+        Ok(Self { block, orders })
     }
 
     /// Builds a relation from **already compiled** orders, skipping the O(c²) closure
@@ -817,12 +731,7 @@ impl CompiledRelation {
         orders: Vec<CompiledOrder>,
     ) -> Result<Self> {
         Self::validate_cardinalities(&block, orders.len(), |j| orders[j].cardinality())?;
-        let all_ranked = orders.iter().all(CompiledOrder::is_ranked);
-        Ok(Self {
-            block,
-            orders,
-            all_ranked,
-        })
+        Ok(Self { block, orders })
     }
 
     /// Shared validation: one order per nominal dimension, each covering every value id the
@@ -862,7 +771,7 @@ impl CompiledRelation {
     }
 
     /// Compiles the relation of a query preference evaluated against a template
-    /// (`R ∪ P(R̃′)`), mirroring [`DominanceContext::for_query`].
+    /// (`R ∪ P(R̃′)`), mirroring [`crate::DominanceContext::for_query`].
     pub fn for_query(
         block: Arc<PointBlock>,
         schema: &Schema,
@@ -898,7 +807,7 @@ impl CompiledRelation {
 
     /// True when `p` dominates `q`: `p ⪯ q` on every dimension and `p ≺ q` on at least one.
     ///
-    /// Same contract as [`DominanceContext::dominates`], compiled form.
+    /// Same contract as [`crate::DominanceContext::dominates`], compiled form.
     #[inline]
     pub fn dominates(&self, p: PointId, q: PointId) -> bool {
         if p == q {
@@ -933,8 +842,7 @@ impl CompiledRelation {
     }
 
     /// Index into `candidates` of the first point dominating `p`, with `p`'s rows hoisted out
-    /// of the candidate loop and the same branchless per-candidate evaluation as the dense
-    /// window walk.
+    /// of the candidate loop and a branchless per-candidate evaluation.
     // `!(qv > pv)` is deliberate, not `qv <= pv`: NaN must neither block nor establish
     // dominance, exactly mirroring the reference `if pv > qv { return false }`.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -968,7 +876,8 @@ impl CompiledRelation {
         None
     }
 
-    /// Full three-way (plus equality) comparison, mirroring [`DominanceContext::compare`].
+    /// Full three-way (plus equality) comparison, mirroring
+    /// [`crate::DominanceContext::compare`].
     pub fn compare(&self, p: PointId, q: PointId) -> DomRelation {
         if p == q {
             return DomRelation::Equal;
@@ -1035,11 +944,6 @@ impl CompiledRelation {
         candidates.iter().any(|&q| self.dominates(q, p))
     }
 
-    /// Compiles the same relation a [`DominanceContext`] evaluates, sharing `block`.
-    pub fn from_context(block: Arc<PointBlock>, ctx: &DominanceContext<'_>) -> Result<Self> {
-        Self::new(block, ctx.orders())
-    }
-
     /// Approximate heap footprint of the compiled orders in bytes (the block is shared and
     /// accounted once via [`PointBlock::approximate_bytes`]).
     pub fn approximate_bytes(&self) -> usize {
@@ -1050,164 +954,42 @@ impl CompiledRelation {
     }
 }
 
-impl CompiledRelation {
-    /// Appends point `p`'s `(id, rank)` nominal pairs to `out`.
-    fn extend_nominal_keys(&self, out: &mut Vec<u16>, p: PointId) {
-        for (order, &v) in self.orders.iter().zip(self.block.nominal_row(p)) {
-            out.push(v);
-            out.push(order.layer(v));
-        }
-    }
-
-    /// The dense-window walk, monomorphized on the numeric arity (`ND == 0` is the
-    /// any-arity fallback) and on whether every nominal order is ranked. Early-out on the
-    /// first worse dimension; ranked (weak) nominal orders test with two integer compares on
-    /// streaming data, general orders probe the closure bitmask.
-    fn walk_window<const ND: usize, const ALL_RANKED: bool>(
-        &self,
-        window: &DenseWindow,
-        pn: &[f64],
-        md2: usize,
-    ) -> Option<usize> {
-        let nd = if ND == 0 { window.numeric_dims } else { ND };
-        debug_assert_eq!(nd, pn.len());
-        let probe = &window.probe;
-        'candidates: for i in 0..window.len {
-            let mut strict = false;
-            if ND == 0 {
-                for (qv, pv) in window.nums[i * nd..(i + 1) * nd].iter().zip(pn) {
-                    if qv > pv {
-                        continue 'candidates;
-                    }
-                    strict |= qv < pv;
-                }
-            } else {
-                let qn = &window.nums[i * ND..i * ND + ND];
-                for j in 0..ND {
-                    if qn[j] > pn[j] {
-                        continue 'candidates;
-                    }
-                    strict |= qn[j] < pn[j];
-                }
-            }
-            let qm = &window.noms[i * md2..(i + 1) * md2];
-            if ALL_RANKED {
-                // Branchless: `q ⪯ p ⟺ q = p ∨ rank(q) < rank(p)`, folded into booleans.
-                let mut not_worse = true;
-                for (qc, pc) in qm.chunks_exact(2).zip(probe.chunks_exact(2)) {
-                    not_worse &= (qc[0] == pc[0]) | (qc[1] < pc[1]);
-                    strict |= qc[1] < pc[1];
-                }
-                if !not_worse {
-                    continue 'candidates;
-                }
-            } else {
-                for ((order, qc), pc) in self
-                    .orders
-                    .iter()
-                    .zip(qm.chunks_exact(2))
-                    .zip(probe.chunks_exact(2))
-                {
-                    if qc[0] != pc[0] {
-                        let preferred = if order.ranked {
-                            qc[1] < pc[1]
-                        } else {
-                            order.strictly_preferred(qc[0], pc[0])
-                        };
-                        if !preferred {
-                            continue 'candidates;
-                        }
-                        strict = true;
-                    }
-                }
-            }
-            if strict {
-                return Some(i);
-            }
-        }
-        None
-    }
-}
-
 impl Dominance for CompiledRelation {
     type Window = DenseWindow;
 
     fn reset_window(&self, window: &mut DenseWindow) {
-        window.numeric_dims = self.block.numeric_dims();
-        window.nominal_dims = self.block.nominal_dims();
-        window.nums.clear();
-        window.noms.clear();
         window.members.clear();
-        window.len = 0;
-        window.packed = kernel_mode() == KernelMode::Packed;
-        window.peek.resync();
-        if window.packed {
-            window
-                .lanes
-                .reset(self.block.numeric_dims(), self.block.nominal_dims());
-        }
+        window
+            .lanes
+            .reset(self.block.numeric_dims(), self.block.nominal_dims());
     }
 
     fn push_window(&self, window: &mut DenseWindow, p: PointId) {
-        debug_assert_eq!(window.numeric_dims, self.block.numeric_dims());
-        if window.packed {
-            window.probe.clear();
-            self.extend_nominal_keys(&mut window.probe, p);
-            window.lanes.push(self.block.numeric_row(p), &window.probe);
-            window.members.push(p);
-        } else {
-            window.nums.extend_from_slice(self.block.numeric_row(p));
-            self.extend_nominal_keys(&mut window.noms, p);
-        }
-        window.len += 1;
+        stage_probe(&mut window.probe, &self.orders, self.block.nominal_row(p));
+        window.lanes.push(self.block.numeric_row(p), &window.probe);
+        window.members.push(p);
     }
 
     fn window_first_dominator(&self, window: &mut DenseWindow, p: PointId) -> Option<usize> {
-        let pn = self.block.numeric_row(p);
-        let nd = window.numeric_dims;
-        let md2 = window.nominal_dims * 2;
-        // Hoist the candidate's (id, rank) pairs once per call.
-        window.probe.clear();
-        self.extend_nominal_keys(&mut window.probe, p);
-        if window.packed {
-            // Scalar peek first (see [`WINDOW_PEEK`]): the leading accepted rows dominate
-            // most candidates, and the pairwise test exits on the first worse dimension.
-            // The depth adapts to the scan's recent kill depths.
-            for (i, &m) in window.members.iter().take(window.peek.depth).enumerate() {
-                if CompiledRelation::dominates(self, m, p) {
-                    window.peek.observe(i + 1);
-                    return Some(i);
-                }
-            }
-            let hit =
-                window
-                    .lanes
-                    .first_dominator(&self.orders, pn, &window.probe, window.lanes.len());
-            if let Some(i) = hit {
+        // Scalar peek first (see [`WINDOW_PEEK`]): the leading accepted rows dominate most
+        // candidates, and the pairwise test exits on the first worse dimension. The depth
+        // adapts to the scan's recent kill depths.
+        for (i, &m) in window.members.iter().take(window.peek.depth).enumerate() {
+            if CompiledRelation::dominates(self, m, p) {
                 window.peek.observe(i + 1);
-            }
-            return hit;
-        }
-        // Monomorphize the walk on the (small) numeric arity so the inner numeric loop fully
-        // unrolls with no counters or per-row bounds checks, and on the all-ranked flag so
-        // the common weak-order case runs with pure integer compares.
-        if self.all_ranked {
-            match nd {
-                2 => self.walk_window::<2, true>(window, pn, md2),
-                3 => self.walk_window::<3, true>(window, pn, md2),
-                4 => self.walk_window::<4, true>(window, pn, md2),
-                5 => self.walk_window::<5, true>(window, pn, md2),
-                _ => self.walk_window::<0, true>(window, pn, md2),
-            }
-        } else {
-            match nd {
-                2 => self.walk_window::<2, false>(window, pn, md2),
-                3 => self.walk_window::<3, false>(window, pn, md2),
-                4 => self.walk_window::<4, false>(window, pn, md2),
-                5 => self.walk_window::<5, false>(window, pn, md2),
-                _ => self.walk_window::<0, false>(window, pn, md2),
+                return Some(i);
             }
         }
+        // Hoist the candidate's (id, rank) pairs once per call.
+        stage_probe(&mut window.probe, &self.orders, self.block.nominal_row(p));
+        let pn = self.block.numeric_row(p);
+        let hit = window
+            .lanes
+            .first_dominator(&self.orders, pn, &window.probe, window.lanes.len());
+        if let Some(i) = hit {
+            window.peek.observe(i + 1);
+        }
+        hit
     }
 
     #[inline]
@@ -1227,12 +1009,8 @@ impl Dominance for CompiledRelation {
     /// BNL over the packed window: candidates stream through 64-lane blocks, the dominator
     /// probe and the eviction sweep are both one pass of mask algebra per block, and evicted
     /// rows just lose their validity bit (lanes are never reused, so a lane index stays
-    /// aligned with the side list of member ids). Falls back to the generic loop under
-    /// [`KernelMode::Scalar`].
+    /// aligned with the side list of member ids).
     fn bnl_skyline(&self, points: &[PointId]) -> Vec<PointId> {
-        if kernel_mode() == KernelMode::Scalar {
-            return crate::dominance::generic_bnl_skyline(self, points);
-        }
         let mut lanes = PackedLanes::default();
         lanes.reset(self.block.numeric_dims(), self.block.nominal_dims());
         let mut members: Vec<PointId> = Vec::new();
@@ -1259,8 +1037,7 @@ impl Dominance for CompiledRelation {
                     peeked += 1;
                 }
             }
-            probe.clear();
-            self.extend_nominal_keys(&mut probe, p);
+            stage_probe(&mut probe, &self.orders, self.block.nominal_row(p));
             let pn = self.block.numeric_row(p);
             // Window members are mutually undominated, so when one dominates `p`, none can
             // be dominated by `p` (transitivity) — probing before evicting loses nothing.
@@ -1287,6 +1064,7 @@ impl Dominance for CompiledRelation {
 mod tests {
     use super::*;
     use crate::dataset::DatasetBuilder;
+    use crate::dominance::DominanceContext;
     use crate::order::ImplicitPreference;
     use crate::schema::Dimension;
 
@@ -1363,7 +1141,7 @@ mod tests {
         assert_eq!(
             sfs::scan_presorted(&kernel, &sorted),
             sfs::scan_presorted(&ctx, &sorted),
-            "dense-window scan must match the reference scan on unranked orders"
+            "packed scan must match the reference scan on unranked orders"
         );
     }
 
@@ -1442,18 +1220,6 @@ mod tests {
         assert_eq!(kernel.orders().len(), 1);
         assert_eq!(kernel.block().len(), 6);
         assert!(kernel.approximate_bytes() > 0);
-    }
-
-    #[test]
-    fn from_context_shares_the_block() {
-        let data = vacation_data();
-        let template = Template::empty(data.schema());
-        let ctx = DominanceContext::for_template(&data, &template).unwrap();
-        let block = Arc::new(PointBlock::new(&data));
-        let kernel = CompiledRelation::from_context(block.clone(), &ctx).unwrap();
-        assert!(Arc::ptr_eq(kernel.block(), &block));
-        assert!(kernel.dominates(0, 1));
-        assert!(!kernel.dominates(0, 2));
     }
 
     #[test]
@@ -1576,6 +1342,10 @@ mod tests {
         let fresh = CompiledRelation::for_template(block.clone(), &template).unwrap();
         let reused =
             CompiledRelation::from_compiled_orders(block.clone(), fresh.orders().to_vec()).unwrap();
+        assert!(
+            Arc::ptr_eq(reused.block(), &block),
+            "relations share the block"
+        );
         for p in data.point_ids() {
             for q in data.point_ids() {
                 assert_eq!(fresh.dominates(p, q), reused.dominates(p, q), "({p}, {q})");
@@ -1620,11 +1390,11 @@ mod tests {
         data
     }
 
-    /// Satellite: the scalar-peek depth is a pure performance knob. Packed and scalar scans
-    /// must emit identical skylines at every pinned depth, including 0 (peek disabled) and 64
-    /// (peek covers a whole lane block).
+    /// The scalar-peek depth is a pure performance knob: the packed SFS scan and the packed
+    /// BNL window must emit the reference context's skylines at every pinned depth, including
+    /// 0 (peek disabled) and 64 (peek covers a whole lane block).
     #[test]
-    fn packed_matches_scalar_at_every_pinned_peek_depth() {
+    fn packed_matches_reference_at_every_pinned_peek_depth() {
         use crate::algo::sfs;
         use crate::score::ScoreFn;
 
@@ -1640,27 +1410,22 @@ mod tests {
         let reference = sfs::scan_presorted(&ctx, &sorted);
         let reference_bnl = ctx.bnl_skyline(&all);
         for depth in [0usize, 1, 2, 8, 32, 64] {
-            with_window_peek(depth, || {
-                for mode in [KernelMode::Packed, KernelMode::Scalar] {
-                    with_kernel_mode(mode, || {
-                        assert_eq!(
-                            sfs::scan_presorted(&kernel, &sorted),
-                            reference,
-                            "scan mismatch at peek depth {depth} in {mode:?} mode"
-                        );
-                        assert_eq!(
-                            kernel.bnl_skyline(&all),
-                            reference_bnl,
-                            "bnl mismatch at peek depth {depth} in {mode:?} mode"
-                        );
-                    });
-                }
+            with_pinned_peek(depth, || {
+                assert_eq!(
+                    sfs::scan_presorted(&kernel, &sorted),
+                    reference,
+                    "scan mismatch at peek depth {depth}"
+                );
+                assert_eq!(
+                    kernel.bnl_skyline(&all),
+                    reference_bnl,
+                    "bnl mismatch at peek depth {depth}"
+                );
             });
         }
     }
 
-    /// Satellite: adaptation tracks observed kill depths within bounds, and pinning (env or
-    /// [`with_window_peek`]) freezes the depth.
+    /// Adaptation tracks observed kill depths within bounds, and pinning freezes the depth.
     #[test]
     fn peek_depth_adapts_within_bounds_and_pinning_freezes_it() {
         let mut peek = PeekDepth::default();
@@ -1681,8 +1446,8 @@ mod tests {
         }
         assert_eq!(peek.depth, 8);
 
-        // Pinning through the thread-local override freezes the depth against observations.
-        with_window_peek(5, || {
+        // A pinned depth ignores observations.
+        with_pinned_peek(5, || {
             let mut pinned = PeekDepth::default();
             assert_eq!(pinned.depth, 5);
             for _ in 0..64 {
@@ -1696,18 +1461,15 @@ mod tests {
         fresh.observe(1000);
         assert_ne!(fresh.depth, WINDOW_PEEK);
 
-        // reset_window resyncs the pin for windows created outside the override scope.
+        // Resetting a window keeps its learned depth for the next scan.
         let data = vacation_data();
         let template = Template::empty(data.schema());
         let kernel =
             CompiledRelation::for_template(Arc::new(PointBlock::new(&data)), &template).unwrap();
         let mut window = DenseWindow::default();
-        with_window_peek(3, || {
-            kernel.reset_window(&mut window);
-            assert!(window.peek.pinned);
-            assert_eq!(window.peek.depth, 3);
-        });
+        window.peek.observe(1000);
+        let learned = window.peek.depth;
         kernel.reset_window(&mut window);
-        assert!(!window.peek.pinned, "pin clears outside the scope");
+        assert_eq!(window.peek.depth, learned);
     }
 }

@@ -1,10 +1,10 @@
 //! Bit-parallel packed window lanes: the hardware floor of the dominance scan.
 //!
-//! The compiled kernel ([`crate::kernel::CompiledRelation`]) reduced a pairwise dominance
-//! test to contiguous loads and integer compares, but still walks the accepted window **one
-//! candidate row at a time**. This module restructures the window into 64-row **blocks with
-//! one lane per row**, so a single pass over a block answers the dominance question for all
-//! 64 rows at once as plain `u64` mask algebra:
+//! The compiled kernel ([`crate::kernel::CompiledRelation`]) reduces a pairwise dominance
+//! test to contiguous loads and integer compares. Walking the accepted window with that test
+//! would still go **one candidate row at a time**; this module instead lays the window out in
+//! 64-row **blocks with one lane per row**, so a single pass over a block answers the
+//! dominance question for all 64 rows at once as plain `u64` mask algebra:
 //!
 //! * values are stored **block-major, dimension-major**: lane `l` of dimension `j` in block
 //!   `b` lives at `(b * dims + j) * 64 + l`. A per-dimension mask kernel streams 64
@@ -20,14 +20,26 @@
 //!
 //! Nominal dimensions store `(value id, layered rank)` lanes: ranked (weak) orders compare
 //! ranks with pure integer masks, general partial orders probe the compiled closure per
-//! lane (the closure table is a few hundred bytes, L1-resident). NaN semantics mirror the
-//! scalar kernel exactly: a NaN neither blocks nor establishes dominance, because every
-//! mask is built from the same `!(a > b)` / `a < b` comparisons the scalar path uses.
+//! lane (the closure table is a few hundred bytes, L1-resident). NaN semantics match the
+//! pairwise [`crate::kernel::CompiledRelation::dominates`] (the test the scalar peek runs):
+//! a NaN neither blocks nor establishes dominance, because every mask is built from the same
+//! `!(a > b)` / `a < b` comparisons the pairwise test uses.
 
 use crate::kernel::CompiledOrder;
+use crate::value::ValueId;
 
 /// Rows per packed block: one lane per bit of the `u64` masks.
 pub(crate) const LANE_COUNT: usize = 64;
+
+/// Replaces `probe` with a row's nominal values as the `(value id, layered rank)` pairs that
+/// [`PackedLanes::push`] stores and every lane query probes with.
+pub(crate) fn stage_probe(probe: &mut Vec<u16>, orders: &[CompiledOrder], nominal: &[ValueId]) {
+    probe.clear();
+    for (order, &v) in orders.iter().zip(nominal) {
+        probe.push(v);
+        probe.push(order.layer(v));
+    }
+}
 
 /// A packed, cache-blocked copy of accepted rows, 64 per block, with one validity bit per
 /// lane.
@@ -83,7 +95,7 @@ impl PackedLanes {
 
     /// Appends one row to the next lane: `nums_row` in numeric-dimension order and
     /// `noms_pairs` as the `(value id, layered rank)` interleaved pairs of the nominal
-    /// dimensions (the same format [`crate::kernel::DenseWindow`] stages its probe in).
+    /// dimensions, as [`stage_probe`] builds them.
     pub fn push(&mut self, nums_row: &[f64], noms_pairs: &[u16]) {
         debug_assert_eq!(nums_row.len(), self.numeric_dims);
         debug_assert_eq!(noms_pairs.len(), self.nominal_dims * 2);
@@ -239,7 +251,7 @@ impl PackedLanes {
 /// Numeric movemask, lane-dominates-probe direction: bit `l` of `not_worse` when lane `l`'s
 /// value is not worse than (not greater than) `pv`, of `strict` when it is strictly better.
 // `!(qv > pv)` is deliberate, not `qv <= pv`: NaN must neither block nor establish
-// dominance, exactly mirroring the scalar kernel.
+// dominance, exactly as in the pairwise `CompiledRelation::dominates`.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
 #[inline]
 fn numeric_masks(lane: &[f64], pv: f64) -> (u64, u64) {

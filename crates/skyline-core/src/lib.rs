@@ -14,10 +14,12 @@
 //! * preference machinery: general strict [`order::PartialOrder`]s, the restricted
 //!   [`order::ImplicitPreference`] form used by the paper, [`order::Preference`] profiles and
 //!   [`order::Template`]s shared by all users;
-//! * dominance testing ([`DominanceContext`]) and the monotone scoring function used by the
-//!   SFS family ([`score::ScoreFn`]);
 //! * the compiled dominance kernel ([`kernel`]): query-compiled closure bitmasks over a
-//!   cache-friendly row-major point layout, behind the shared [`dominance::Dominance`] trait;
+//!   cache-friendly row-major point layout and 64-row packed lanes — the one dominance path
+//!   production code runs — and the monotone scoring function used by the SFS family
+//!   ([`score::ScoreFn`]);
+//! * the reference dominance oracle ([`DominanceContext`]) the kernel is tested against, both
+//!   behind the shared [`dominance::Dominance`] trait;
 //! * baseline full-dataset skyline algorithms: block-nested-loop ([`algo::bnl`]) and
 //!   sort-first-skyline ([`algo::sfs`], the paper's **SFS-D** baseline);
 //! * minimal disqualifying conditions ([`mdc`]) used by the IPO-tree construction;
@@ -54,8 +56,7 @@ pub use deadline::{CancelToken, Deadline, DEADLINE_CHECK_INTERVAL};
 pub use dominance::{DomRelation, Dominance, DominanceContext};
 pub use error::{Result, SkylineError};
 pub use kernel::{
-    kernel_mode, window_peek_override, with_kernel_mode, with_window_peek, CompiledOrder,
-    CompiledRelation, DatasetEpoch, DenseWindow, KernelMode, PointBlock, RowIdRemap,
+    CompiledOrder, CompiledRelation, DatasetEpoch, DenseWindow, PointBlock, RowIdRemap,
 };
 pub use order::{CanonicalPreference, ImplicitPreference, PartialOrder, Preference, Template};
 pub use schema::{Dimension, DimensionKind, Schema};

@@ -12,7 +12,7 @@
 //! Every MDC pair states "`better` must be preferred to `worse` on nominal dimension `dim`".
 
 use crate::bitset::BitSet;
-use crate::dominance::DominanceContext;
+use crate::kernel::CompiledRelation;
 use crate::order::{PartialOrder, Preference};
 use crate::value::{PointId, ValueId};
 
@@ -188,8 +188,9 @@ impl MdcIndex {
     }
 }
 
-/// Computes the MDCs of every point in `skyline` with respect to the template relation bound
-/// to `ctx` (which must be the *template* context, not a query context).
+/// Computes the MDCs of every point in `skyline` with respect to the template relation
+/// compiled into `relation` (which must be the *template* relation, not a query relation),
+/// using every live row of its block as a potential dominator.
 ///
 /// For every skyline point `p` and every other point `q`, the candidate condition is the set of
 /// pairs `(q.Dᵢ, p.Dᵢ)` on the nominal dimensions where the two values are distinct and not yet
@@ -199,74 +200,61 @@ impl MdcIndex {
 ///
 /// Cost is `O(|D| · |SKY(R)| · m)`, which is exactly the preprocessing cost the paper attributes
 /// to IPO-tree construction.
-pub fn compute_mdcs(ctx: &DominanceContext<'_>, skyline: &[PointId]) -> MdcIndex {
-    let all_points: Vec<PointId> = ctx.dataset().point_ids().collect();
-    compute_mdcs_with_dominators(ctx, skyline, &all_points)
+pub fn compute_mdcs(relation: &CompiledRelation, skyline: &[PointId]) -> MdcIndex {
+    let all_points: Vec<PointId> = relation.block().live_ids().collect();
+    compute_mdcs_with_dominators(relation, skyline, &all_points)
 }
 
 /// Like [`compute_mdcs`] but only considers `dominators` as potential dominating points.
 ///
-/// Restricting the dominators to the skyline of the dataset under the *same* relation as `ctx`
-/// is lossless: if any point disqualifies `p` under a refinement, some skyline point does too
-/// (follow the dominance chain upwards). This turns the `O(|D|·|SKY|)` mining pass into
-/// `O(|SKY(base)|·|SKY|)`, which is what makes full IPO-tree construction practical.
+/// Restricting the dominators to the skyline of the dataset under the *same* relation as
+/// `relation` is lossless: if any point disqualifies `p` under a refinement, some skyline point
+/// does too (follow the dominance chain upwards). This turns the `O(|D|·|SKY|)` mining pass
+/// into `O(|SKY(base)|·|SKY|)`, which is what makes full IPO-tree construction practical.
 pub fn compute_mdcs_with_dominators(
-    ctx: &DominanceContext<'_>,
+    relation: &CompiledRelation,
     skyline: &[PointId],
     dominators: &[PointId],
 ) -> MdcIndex {
-    let data = ctx.dataset();
-    let schema = data.schema();
-    let orders = ctx.orders();
-
+    let block = relation.block();
+    let orders = relation.orders();
+    let mut pairs: Vec<MdcPair> = Vec::new();
     let mut mdcs = Vec::with_capacity(skyline.len());
     for &p in skyline {
+        let (pn, pm) = (block.numeric_row(p), block.nominal_row(p));
         let mut candidates: Vec<Mdc> = Vec::new();
         'next_q: for &q in dominators {
-            if q == p {
+            // Numeric dimensions: q must be at least as good everywhere.
+            if q == p || block.numeric_row(q).iter().zip(pn).any(|(qv, pv)| qv > pv) {
                 continue;
             }
-            let mut strict = false;
-            // Numeric dimensions: q must be at least as good everywhere.
-            for j in 0..schema.numeric_count() {
-                let qv = data.numeric(q, j);
-                let pv = data.numeric(p, j);
-                if qv > pv {
-                    continue 'next_q;
-                }
-                if qv < pv {
-                    strict = true;
-                }
-            }
             // Nominal dimensions: collect the extra pairs needed.
-            let mut pairs: Vec<MdcPair> = Vec::new();
-            for (j, order) in orders.iter().enumerate() {
-                let qv = data.nominal(q, j);
-                let pv = data.nominal(p, j);
-                if qv == pv {
+            pairs.clear();
+            for (j, (order, (&qv, &pv))) in orders
+                .iter()
+                .zip(block.nominal_row(q).iter().zip(pm))
+                .enumerate()
+            {
+                if qv == pv || order.strictly_preferred(qv, pv) {
                     continue;
                 }
-                if order.strictly_preferred(qv, pv) {
-                    strict = true;
-                } else if order.strictly_preferred(pv, qv) {
+                if order.strictly_preferred(pv, qv) {
                     // Any refinement keeps p strictly better here (conflict-freedom), so q can
                     // never dominate p.
                     continue 'next_q;
-                } else {
-                    pairs.push(MdcPair {
-                        dim: j as u16,
-                        better: qv,
-                        worse: pv,
-                    });
                 }
+                pairs.push(MdcPair {
+                    dim: j as u16,
+                    better: qv,
+                    worse: pv,
+                });
             }
-            if pairs.is_empty() {
-                // q already dominates p under the template (impossible when `skyline` really is
-                // SKY(R)) or q equals p in every dimension; nothing to record either way.
-                continue;
+            // An empty set means q already dominates p under the template (impossible when
+            // `skyline` really is SKY(R)) or q equals p in every dimension; nothing to record
+            // either way. Otherwise adding the pairs makes q strictly better, so q dominates.
+            if !pairs.is_empty() {
+                candidates.push(Mdc::new(pairs.clone()));
             }
-            let _ = strict; // adding any pair introduces a strict preference, so q dominates.
-            candidates.push(Mdc::new(pairs));
         }
         mdcs.push(minimalize(candidates));
     }
@@ -311,8 +299,21 @@ mod tests {
     use super::*;
     use crate::algo::bnl;
     use crate::dataset::{Dataset, DatasetBuilder, RowValue};
+    use crate::dominance::DominanceContext;
+    use crate::kernel::PointBlock;
     use crate::order::{ImplicitPreference, Template};
     use crate::schema::{Dimension, Schema};
+    use std::sync::Arc;
+
+    /// The template skyline from the reference oracle, plus its MDCs mined on the kernel.
+    fn template_mdcs(data: &Dataset, template: &Template) -> (Vec<PointId>, MdcIndex) {
+        let ctx = DominanceContext::for_template(data, template).unwrap();
+        let sky = bnl::skyline(&ctx);
+        let relation =
+            CompiledRelation::for_template(Arc::new(PointBlock::new(data)), template).unwrap();
+        let index = compute_mdcs(&relation, &sky);
+        (sky, index)
+    }
 
     fn vacation_data() -> Dataset {
         let schema = Schema::new(vec![
@@ -383,10 +384,8 @@ mod tests {
         let data = vacation_data();
         let schema = data.schema().clone();
         let template = Template::empty(&schema);
-        let ctx = DominanceContext::for_template(&data, &template).unwrap();
-        let sky = bnl::skyline(&ctx);
+        let (sky, index) = template_mdcs(&data, &template);
         assert_eq!(sky, vec![0, 2, 4, 5]);
-        let index = compute_mdcs(&ctx, &sky);
         assert_eq!(index.len(), 4);
         assert!(!index.is_empty());
 
@@ -407,9 +406,7 @@ mod tests {
     fn disqualified_by_first_order_matches_preference_form() {
         let data = vacation_data();
         let template = Template::empty(data.schema());
-        let ctx = DominanceContext::for_template(&data, &template).unwrap();
-        let sky = bnl::skyline(&ctx);
-        let index = compute_mdcs(&ctx, &sky);
+        let (_, index) = template_mdcs(&data, &template);
         // First-order choice T ≺ * on the only nominal dimension.
         let bits = index.disqualified_by_first_order(&[Some(0)]);
         let by_pref = index.disqualified_by_preference(&Preference::from_dims(vec![
@@ -425,9 +422,7 @@ mod tests {
     fn skyline_points_never_have_empty_mdcs() {
         let data = vacation_data();
         let template = Template::empty(data.schema());
-        let ctx = DominanceContext::for_template(&data, &template).unwrap();
-        let sky = bnl::skyline(&ctx);
-        let index = compute_mdcs(&ctx, &sky);
+        let (_, index) = template_mdcs(&data, &template);
         for i in 0..index.len() {
             for mdc in index.mdcs_of_index(i) {
                 assert!(!mdc.is_empty());

@@ -1018,19 +1018,35 @@ pub fn read_file(path: &Path) -> Result<Vec<u8>, SnapshotError> {
     std::fs::read(path).map_err(|e| SnapshotError::Io(format!("reading {}: {e}", path.display())))
 }
 
-/// Atomically replaces `path` with `bytes`: the payload lands in a sibling temp file
-/// first and is renamed over the target, so a crash mid-write can never leave a torn
-/// snapshot where a loader will find it.
+/// Atomically and durably replaces `path` with `bytes`. The payload lands in a sibling temp
+/// file and is flushed to stable storage before it is renamed over the target; the parent
+/// directory is flushed after the rename so the new entry survives a power loss too. A crash
+/// at any point leaves either the old snapshot or the new one where a loader will find it,
+/// never a torn file.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+    use std::io::Write;
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)
-        .map_err(|e| SnapshotError::Io(format!("writing {}: {e}", tmp.display())))?;
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(bytes)?;
+        file.sync_all()
+    });
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(SnapshotError::Io(format!("writing {}: {e}", tmp.display())));
+    }
     std::fs::rename(&tmp, path).map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
         SnapshotError::Io(format!("renaming into {}: {e}", path.display()))
-    })
+    })?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| SnapshotError::Io(format!("syncing directory {}: {e}", dir.display())))
 }
 
 #[cfg(test)]
@@ -1246,10 +1262,21 @@ mod tests {
         let buf = b.finish();
         write_atomic(&path, &buf).unwrap();
         assert_eq!(read_file(&path).unwrap(), buf);
+        // Replacing an existing snapshot leaves no temp file behind.
+        write_atomic(&path, &buf[..buf.len() - 1]).unwrap();
+        assert_eq!(read_file(&path).unwrap(), &buf[..buf.len() - 1]);
+        assert!(!dir.join("t.snap.tmp").exists());
         assert!(matches!(
             read_file(&dir.join("absent.snap")),
             Err(SnapshotError::Io(_))
         ));
+        // A write into a missing directory fails as an i/o error and leaves nothing behind.
+        let missing = dir.join("missing").join("t.snap");
+        assert!(matches!(
+            write_atomic(&missing, &buf),
+            Err(SnapshotError::Io(_))
+        ));
+        assert!(!dir.join("missing").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -13,15 +13,19 @@
 //! The per-node computations are independent, so step 3 can optionally run on multiple threads
 //! (scoped threads); the paper's preprocessing-time figures correspond to the single-threaded
 //! path.
+//!
+//! Every dominance test of the build runs on the compiled kernel over one shared
+//! [`PointBlock`]; the reference dominance context only checks it in tests.
 
 use crate::tree::{IpoNode, IpoTree};
 use skyline_core::algo::{bnl, sfs};
 use skyline_core::mdc::{compute_mdcs_with_dominators, MdcIndex};
 use skyline_core::score::ScoreFn;
 use skyline_core::{
-    Dataset, DominanceContext, ImplicitPreference, PartialOrder, PointId, Preference, Result,
-    SkylineError, Template, ValueId,
+    CompiledRelation, Dataset, ImplicitPreference, PartialOrder, PointBlock, PointId, Preference,
+    Result, Schema, SkylineError, Template, ValueId,
 };
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How the per-node disqualified sets are computed.
@@ -119,7 +123,32 @@ impl IpoTreeBuilder {
         template: &Template,
     ) -> Result<(IpoTree, BuildStats)> {
         let started = Instant::now();
+        let (tree, mut stats) =
+            self.build_with_block(data, Arc::new(PointBlock::new(data)), template)?;
+        stats.build_seconds = started.elapsed().as_secs_f64();
+        Ok((tree, stats))
+    }
+
+    /// Like [`IpoTreeBuilder::build_with_stats`], over a caller-supplied block of `data`'s
+    /// rows, so an engine that already holds the block does not transpose the dataset again.
+    /// The block must hold exactly `data`'s rows, all live (a fresh [`PointBlock::new`] or a
+    /// compacted one).
+    pub fn build_with_block(
+        &self,
+        data: &Dataset,
+        block: Arc<PointBlock>,
+        template: &Template,
+    ) -> Result<(IpoTree, BuildStats)> {
+        let started = Instant::now();
         let schema = data.schema();
+        if block.len() != data.len()
+            || block.dead_count() != 0
+            || block.numeric_dims() != schema.numeric_count()
+        {
+            return Err(SkylineError::InvalidArgument(
+                "the point block does not hold exactly the dataset's rows".into(),
+            ));
+        }
         if template.implicit().is_none() {
             return Err(SkylineError::InvalidArgument(
                 "IPO-tree construction requires a template with an implicit form".into(),
@@ -139,18 +168,18 @@ impl IpoTreeBuilder {
             .into_iter()
             .map(PartialOrder::empty)
             .collect();
-        let base_ctx = DominanceContext::new(data, empty_orders)?;
-        let base_score = ScoreFn::default_ranking(schema);
+        let base = CompiledRelation::new(block.clone(), &empty_orders)?;
         let all_points: Vec<PointId> = data.point_ids().collect();
-        let mut base_skyline = sfs::skyline_sorted(&base_ctx, &base_score, &all_points);
+        let sorted = ScoreFn::default_ranking(schema).sort_by_score(data, &all_points);
+        let mut base_skyline = sfs::scan_presorted(&base, &sorted);
         base_skyline.sort_unstable();
 
         // 2. Template skyline SKY(R) ⊆ SKY(∅): what the root stores.
-        let template_ctx = DominanceContext::for_template(data, template)?;
+        let template_relation = CompiledRelation::for_template(block.clone(), template)?;
         let skyline = if template.is_empty() {
             base_skyline.clone()
         } else {
-            bnl::skyline_of(&template_ctx, &base_skyline)
+            bnl::skyline_of(&template_relation, &base_skyline)
         };
 
         // 3. Values to materialize, per dimension (most frequent first).
@@ -187,11 +216,9 @@ impl IpoTreeBuilder {
 
         // 4. Precompute MDCs if requested.
         let mdc_index: Option<MdcIndex> = match self.strategy {
-            BuildStrategy::Mdc => Some(compute_mdcs_with_dominators(
-                &base_ctx,
-                &skyline,
-                &base_skyline,
-            )),
+            BuildStrategy::Mdc => {
+                Some(compute_mdcs_with_dominators(&base, &skyline, &base_skyline))
+            }
             BuildStrategy::Direct => None,
         };
 
@@ -234,7 +261,8 @@ impl IpoTreeBuilder {
                 .filter(|(id, _)| nodes[*id as usize].label.is_some())
                 .collect();
             let sets = self.compute_disqualified_sets(
-                data,
+                schema,
+                &block,
                 &skyline,
                 &base_skyline,
                 mdc_index.as_ref(),
@@ -271,7 +299,8 @@ impl IpoTreeBuilder {
     /// Computes the disqualified set of every `(node, path)` pair, optionally in parallel.
     fn compute_disqualified_sets(
         &self,
-        data: &Dataset,
+        schema: &Schema,
+        block: &Arc<PointBlock>,
         skyline: &[PointId],
         base_skyline: &[PointId],
         mdc_index: Option<&MdcIndex>,
@@ -283,7 +312,7 @@ impl IpoTreeBuilder {
                     let bits = index.disqualified_by_first_order(path);
                     bits.iter().map(|i| index.skyline()[i]).collect()
                 }
-                _ => direct_disqualified(data, skyline, base_skyline, path),
+                _ => direct_disqualified(schema, block, skyline, base_skyline, path),
             }
         };
 
@@ -317,12 +346,12 @@ impl IpoTreeBuilder {
 /// Direct recomputation of a node's disqualified set: a template-skyline point is disqualified
 /// when some base-skyline point dominates it under the node's first-order combination.
 fn direct_disqualified(
-    data: &Dataset,
+    schema: &Schema,
+    block: &Arc<PointBlock>,
     skyline: &[PointId],
     base_skyline: &[PointId],
     path: &[Option<ValueId>],
 ) -> Vec<PointId> {
-    let schema = data.schema();
     let orders: Vec<PartialOrder> = (0..schema.nominal_count())
         .map(|j| {
             let card = schema.nominal_domain(j).map_or(0, |d| d.cardinality());
@@ -334,11 +363,11 @@ fn direct_disqualified(
             }
         })
         .collect();
-    let ctx = DominanceContext::new(data, orders).expect("orders match the schema");
+    let relation = CompiledRelation::new(block.clone(), &orders).expect("orders match the schema");
     skyline
         .iter()
         .copied()
-        .filter(|&p| base_skyline.iter().any(|&q| ctx.dominates(q, p)))
+        .filter(|&p| relation.dominated_by_any(p, base_skyline))
         .collect()
 }
 
@@ -357,7 +386,7 @@ pub fn first_order_preference(nominal_count: usize, path: &[Option<ValueId>]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyline_core::{DatasetBuilder, Dimension, RowValue, Schema};
+    use skyline_core::{DatasetBuilder, Dimension, DominanceContext, RowValue};
 
     /// Table 3 of the paper: two nominal attributes (Hotel-group and Airline).
     fn table3_data() -> Dataset {
@@ -439,6 +468,33 @@ mod tests {
         for ((_, a), (_, b)) in mdc_tree.iter_nodes().zip(direct_tree.iter_nodes()) {
             assert_eq!(a.disqualified(), b.disqualified());
             assert_eq!(a.label(), b.label());
+        }
+    }
+
+    #[test]
+    fn a_shared_block_builds_the_same_tree_and_must_match_the_data() {
+        let data = table3_data();
+        let template = Template::empty(data.schema());
+        let fresh = IpoTreeBuilder::new().build(&data, &template).unwrap();
+        let block = Arc::new(PointBlock::new(&data));
+        let (shared, stats) = IpoTreeBuilder::new()
+            .build_with_block(&data, block.clone(), &template)
+            .unwrap();
+        assert_eq!(stats.node_count, fresh.node_count());
+        assert_eq!(shared.skyline(), fresh.skyline());
+        for ((_, a), (_, b)) in shared.iter_nodes().zip(fresh.iter_nodes()) {
+            assert_eq!(a.disqualified(), b.disqualified());
+        }
+        // A block with a dead row, or of another dataset, is refused.
+        let mut tombstoned = PointBlock::new(&data);
+        tombstoned.tombstone(0).unwrap();
+        let mut grown = data.clone();
+        grown.push_row_ids(&[1.0, 1.0], &[0, 0]).unwrap();
+        for bad in [Arc::new(tombstoned), Arc::new(PointBlock::new(&grown))] {
+            assert!(matches!(
+                IpoTreeBuilder::new().build_with_block(&data, bad, &template),
+                Err(SkylineError::InvalidArgument(_))
+            ));
         }
     }
 

@@ -12,8 +12,6 @@
 //!   epoch;
 //! * **snapshot isolation** — a mutation racing the stream does not change its answer: the
 //!   stream serves the generation it started on.
-//!
-//! The suite is kernel-agnostic; CI runs it under both `SKYLINE_KERNEL` modes.
 
 use proptest::prelude::*;
 use skyline::prelude::*;

@@ -508,10 +508,12 @@ impl SkylineEngine {
                 owned_data = Some(data);
             }
             EngineConfig::Hybrid { top_k } => {
-                let tree = IpoTreeBuilder::new()
-                    .top_k_values(top_k)
-                    .build(&data, &template)?;
                 let shared = Arc::new(PointBlock::new(&data));
+                let (tree, _) = IpoTreeBuilder::new().top_k_values(top_k).build_with_block(
+                    &data,
+                    shared.clone(),
+                    &template,
+                )?;
                 asfs = Some(AdaptiveSfs::from_precomputed_with_block(
                     data,
                     shared,

@@ -309,3 +309,50 @@ proptest! {
         prop_assert_eq!(&engine.query(&refined).unwrap().skyline, &refined_sky);
     }
 }
+
+/// Regression: a NaN numeric cell used to be accepted, and it broke the SFS presort. With rows
+/// `(0, 2, x)` and `(NaN, 1, x)`, BNL answered `{1}` while SFS-D, Adaptive SFS, the IPO tree
+/// and Hybrid answered `{0, 1}`. Non-finite cells are now refused at ingress, so every engine
+/// keeps agreeing with the oracle.
+#[test]
+fn non_finite_rows_are_refused_on_every_insert_path() {
+    let schema = Schema::new(vec![
+        Dimension::numeric("a"),
+        Dimension::numeric("b"),
+        Dimension::nominal_with_labels("g", ["x"]),
+    ])
+    .unwrap();
+    let mut data = Dataset::empty(schema);
+    data.push_row_ids(&[0.0, 2.0], &[0]).unwrap();
+    assert!(matches!(
+        data.push_row_ids(&[f64::NAN, 1.0], &[0]),
+        Err(SkylineError::InvalidArgument(_))
+    ));
+    let data = std::sync::Arc::new(data);
+    let template = Template::empty(data.schema());
+    let query = Preference::none(1);
+    let ctx = DominanceContext::for_query(&data, &template, &query).unwrap();
+    let expected = bnl::skyline(&ctx);
+    assert_eq!(expected, vec![0]);
+
+    for config in [
+        EngineConfig::SfsD,
+        EngineConfig::AdaptiveSfs,
+        EngineConfig::Hybrid { top_k: 2 },
+    ] {
+        let mut engine = SkylineEngine::build(data.clone(), template.clone(), config).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    engine.insert_row(&[bad, 1.0], &[0]),
+                    Err(SkylineError::InvalidArgument(_))
+                ),
+                "config {config:?} accepted {bad}"
+            );
+        }
+        assert_eq!(engine.live_rows(), 1, "config {config:?}");
+        assert_eq!(engine.query(&query).unwrap().skyline, expected);
+    }
+    let tree = IpoTreeBuilder::new().build(&data, &template).unwrap();
+    assert_eq!(tree.query(&data, &query).unwrap(), expected);
+}

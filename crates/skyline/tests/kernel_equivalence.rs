@@ -5,12 +5,11 @@
 //!
 //! 1. [`CompiledRelation`] ≡ [`DominanceContext`]: `dominates` and `compare` agree on every
 //!    point pair, for random datasets, templates and query preferences.
-//! 2. Packed ≡ scalar ≡ reference on every path that scans a window: the bit-parallel
-//!    64-lane kernel ([`KernelMode::Packed`], the runtime default), the scalar compiled
-//!    walk it falls back to, and the reference context produce identical skylines through
-//!    BNL, the SFS dense-window scan, and the cross-fragment `merge_skylines` operator —
-//!    across 2–8 total dimensions, ragged window lengths straddling the 64/128 lane-block
-//!    boundaries, and both all-ranked and mixed ranked/unranked nominal orders.
+//! 2. Packed ≡ reference on every path that scans a window: the bit-parallel 64-lane kernel
+//!    (the one production path) and the reference context produce identical skylines
+//!    through BNL, the SFS packed-window scan, and the cross-fragment `merge_skylines`
+//!    operator — across 2–8 total dimensions, ragged window lengths straddling the 64/128
+//!    lane-block boundaries, and both all-ranked and mixed ranked/unranked nominal orders.
 //! 3. Parallel divide-and-conquer preprocessing ≡ serial: `AdaptiveSfs::build_with_workers`
 //!    produces a **bit-for-bit identical** sorted list for any worker count, and engines of
 //!    every [`EngineConfig`] answer queries identically no matter how their Adaptive SFS
@@ -20,7 +19,7 @@ use proptest::prelude::*;
 use skyline::prelude::*;
 use skyline_core::algo::{bnl, sfs};
 use skyline_core::score::ScoreFn;
-use skyline_core::{merge_skylines, with_kernel_mode, KernelMode, PartialOrder};
+use skyline_core::{merge_skylines, PartialOrder};
 
 /// A compact description of a random test instance.
 #[derive(Debug, Clone)]
@@ -298,43 +297,39 @@ fn build_wide_dataset(instance: &WideInstance) -> std::sync::Arc<Dataset> {
     )
 }
 
-/// Pins packed ≡ scalar ≡ reference on both window walks: BNL against the reference BNL
-/// skyline (`expected`), and the SFS presorted scan against the reference context's scan
-/// over the same `sorted` order. The scan is compared scan-to-scan, not scan-to-BNL: a
-/// score that is merely weakly monotone (ties broken by id) makes SFS output order-
-/// dependent, and all three implementations must be order-dependent *identically*.
-fn assert_all_paths_match<D: Dominance>(
-    dom: &D,
+/// Pins packed ≡ reference on both window walks: BNL against the reference BNL skyline
+/// (`expected`), and the SFS presorted scan against the reference context's scan over the
+/// same `sorted` order. The scan is compared scan-to-scan, not scan-to-BNL: a score that is
+/// merely weakly monotone (ties broken by id) makes SFS output order-dependent, and both
+/// implementations must be order-dependent *identically*.
+fn assert_all_paths_match(
+    kernel: &CompiledRelation,
     sorted: &[PointId],
     all: &[PointId],
     expected: &[PointId],
     expected_scan: &[PointId],
     what: &str,
 ) {
-    let packed = with_kernel_mode(KernelMode::Packed, || bnl::skyline_of(dom, all));
-    let scalar = with_kernel_mode(KernelMode::Scalar, || bnl::skyline_of(dom, all));
-    assert_eq!(&packed, expected, "packed bnl vs reference ({what})");
-    assert_eq!(&scalar, expected, "scalar bnl vs reference ({what})");
-    let packed_scan = with_kernel_mode(KernelMode::Packed, || sfs::scan_presorted(dom, sorted));
-    let scalar_scan = with_kernel_mode(KernelMode::Scalar, || sfs::scan_presorted(dom, sorted));
     assert_eq!(
-        &packed_scan, expected_scan,
-        "packed sfs vs reference ({what})"
+        &bnl::skyline_of(kernel, all),
+        expected,
+        "packed bnl vs reference ({what})"
     );
     assert_eq!(
-        &scalar_scan, expected_scan,
-        "scalar sfs vs reference ({what})"
+        &sfs::scan_presorted(kernel, sorted),
+        expected_scan,
+        "packed sfs vs reference ({what})"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
-    /// Packed ≡ scalar ≡ reference under **general partial-order templates** (mixed
-    /// ranked/unranked dimensions) on wide schemas and lane-boundary window lengths, for
-    /// the BNL window, the SFS dense-window scan, and the cross-fragment merge.
+    /// Packed ≡ reference under **general partial-order templates** (mixed ranked/unranked
+    /// dimensions) on wide schemas and lane-boundary window lengths, for the BNL window, the
+    /// SFS packed-window scan, and the cross-fragment merge.
     #[test]
-    fn packed_scalar_and_reference_agree_on_wide_templates(
+    fn packed_and_reference_agree_on_wide_templates(
         instance in wide_instance_strategy()
     ) {
         let data = build_wide_dataset(&instance);
@@ -372,30 +367,25 @@ proptest! {
         let expected_scan = sfs::scan_presorted(&ctx, &sorted);
         assert_all_paths_match(&kernel, &sorted, &all, &expected, &expected_scan, "template");
 
-        // Cross-fragment merge: 3-way ragged split, fragment skylines merged back must
-        // equal the global skyline, packed and scalar alike.
+        // Cross-fragment merge: 3-way ragged split, with the fragment skylines taken from
+        // the reference BNL, merged back on the kernel, must equal the global skyline.
         let fragments: Vec<Vec<PointId>> = (0..3)
             .map(|s| {
                 let rows: Vec<PointId> =
                     all.iter().copied().filter(|p| p % 3 == s).collect();
-                with_kernel_mode(KernelMode::Scalar, || bnl::skyline_of(&kernel, &rows))
+                bnl::skyline_of(&ctx, &rows)
             })
             .collect();
         let views: Vec<&[PointId]> = fragments.iter().map(Vec::as_slice).collect();
-        let mut merged_packed =
-            with_kernel_mode(KernelMode::Packed, || merge_skylines(&kernel, &views));
-        let mut merged_scalar =
-            with_kernel_mode(KernelMode::Scalar, || merge_skylines(&kernel, &views));
-        merged_packed.sort_unstable();
-        merged_scalar.sort_unstable();
-        prop_assert_eq!(&merged_packed, &expected, "packed merge vs reference");
-        prop_assert_eq!(&merged_scalar, &expected, "scalar merge vs reference");
+        let mut merged = merge_skylines(&kernel, &views);
+        merged.sort_unstable();
+        prop_assert_eq!(&merged, &expected, "packed merge vs reference");
     }
 
-    /// The same three-way agreement under **implicit-preference queries** (the paper's
-    /// all-ranked form) on wide schemas, through the query-compiled kernel.
+    /// The same agreement under **implicit-preference queries** (the paper's all-ranked
+    /// form) on wide schemas, through the query-compiled kernel.
     #[test]
-    fn packed_scalar_and_reference_agree_on_wide_queries(
+    fn packed_and_reference_agree_on_wide_queries(
         instance in wide_instance_strategy()
     ) {
         let data = build_wide_dataset(&instance);
