@@ -12,7 +12,11 @@
 //!   blocks tested by `u64` mask algebra.
 //!
 //! `merge_skylines_packed` measures the cross-fragment merge operator the sharded service
-//! gathers with, on 8-way fragment skylines of the same workload.
+//! gathers with, on 8-way fragment skylines of the same workload. `progressive_merge_range4`
+//! measures the streaming gather: a `ProgressiveMerger` over 4 sources split by range on
+//! numeric dimension 0, fed the way the sharded stream feeds it. Its work counters are
+//! deterministic, so every run (smoke runs included) asserts that source 0 probes no lane
+//! block and that at least 30% of the lane blocks are skipped.
 //!
 //! The build arms compare `AdaptiveSfs::build_with_workers(…, 1)` against the chunked
 //! divide-and-conquer scan on all available cores (identical output, asserted by the
@@ -22,7 +26,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use skyline::prelude::*;
 use skyline_core::algo::sfs;
-use skyline_core::merge_skylines;
+use skyline_core::score::ScoreFn;
+use skyline_core::{merge_skylines, CompiledOrder, MergeStats, ProgressiveMerger};
 use std::hint::black_box;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -74,6 +79,41 @@ fn setup() -> Workload {
         block,
         queries,
     }
+}
+
+/// One source's stream for the progressive merge arm: `(id, score, numeric, nominal)` per
+/// skyline member, in ascending score order.
+type SourceStream = Vec<(PointId, f64, Vec<f64>, Vec<ValueId>)>;
+
+/// Merges per-source streams the way the sharded stream does: pull the source with the
+/// lowest frontier, offer its next row, drain. Returns the finished merger.
+fn progressive_merge(orders: &[CompiledOrder], streams: &[SourceStream]) -> ProgressiveMerger {
+    let numeric_dims = streams.iter().flatten().next().map_or(0, |row| row.2.len());
+    let mut merger = ProgressiveMerger::new(orders.to_vec(), numeric_dims, streams.len());
+    let mut pos = vec![0usize; streams.len()];
+    let mut frontier = vec![f64::NEG_INFINITY; streams.len()];
+    let mut active = vec![true; streams.len()];
+    let mut out = Vec::new();
+    while let Some(s) = (0..streams.len())
+        .filter(|&s| active[s])
+        .min_by(|&a, &b| frontier[a].total_cmp(&frontier[b]))
+    {
+        match streams[s].get(pos[s]) {
+            Some((p, score, numeric, nominal)) => {
+                frontier[s] = *score;
+                merger
+                    .offer(s, *p, *score, numeric, nominal)
+                    .expect("streams match the merger");
+                pos[s] += 1;
+            }
+            None => {
+                merger.finish(s);
+                active[s] = false;
+            }
+        }
+        merger.drain_ready(&mut out);
+    }
+    merger
 }
 
 /// One full-dataset elimination pass per query on the given dominance implementation; returns
@@ -174,6 +214,64 @@ fn bench_kernel(c: &mut Criterion) {
         b.iter(|| black_box(merge_all(&merge_inputs)))
     });
 
+    // The streaming gather on 4 sources split by range on numeric dimension 0 at its
+    // quartiles; per query, each source's skyline is precomputed in ascending score order.
+    let mut dim0: Vec<f64> = w.data.point_ids().map(|p| w.data.numeric(p, 0)).collect();
+    dim0.sort_by(f64::total_cmp);
+    let bounds = [dim0[TUPLES / 4], dim0[TUPLES / 2], dim0[3 * TUPLES / 4]];
+    let range_source = |p: PointId| {
+        bounds
+            .iter()
+            .filter(|&&b| w.data.numeric(p, 0) >= b)
+            .count()
+    };
+    let range_inputs: Vec<(Vec<CompiledOrder>, Vec<SourceStream>)> = merge_inputs
+        .iter()
+        .zip(&w.queries)
+        .map(|((rel, _), pref)| {
+            let score = ScoreFn::for_preference(w.data.schema(), pref)
+                .expect("workload preferences are valid");
+            let streams = (0..4)
+                .map(|s| {
+                    let rows: Vec<PointId> = w
+                        .data
+                        .point_ids()
+                        .filter(|&p| range_source(p) == s)
+                        .collect();
+                    let sky = skyline_core::algo::bnl::skyline_of(rel, &rows);
+                    score
+                        .sort_by_score(&w.data, &sky)
+                        .into_iter()
+                        .map(|p| {
+                            let schema = w.data.schema();
+                            (
+                                p,
+                                score.score(&w.data, p),
+                                (0..schema.numeric_count())
+                                    .map(|j| w.data.numeric(p, j))
+                                    .collect(),
+                                (0..schema.nominal_count())
+                                    .map(|j| w.data.nominal(p, j))
+                                    .collect(),
+                            )
+                        })
+                        .collect()
+                })
+                .collect();
+            (rel.orders().to_vec(), streams)
+        })
+        .collect();
+    group.bench_function("progressive_merge_range4", |b| {
+        b.iter(|| {
+            black_box(
+                range_inputs
+                    .iter()
+                    .map(|(orders, streams)| progressive_merge(orders, streams).published())
+                    .sum::<usize>(),
+            )
+        })
+    });
+
     group.bench_function("asfs_build_serial", |b| {
         b.iter(|| {
             black_box(
@@ -195,6 +293,37 @@ fn bench_kernel(c: &mut Criterion) {
         })
     });
     group.finish();
+
+    // The range merge's work counters are deterministic, so they are asserted on every run:
+    // no other source's rows sit below source 0's on dimension 0, and its own rows never
+    // dominate it, so its candidates probe nothing.
+    let mut range_total = MergeStats::default();
+    for (q, (orders, streams)) in range_inputs.iter().enumerate() {
+        let merger = progressive_merge(orders, streams);
+        assert_eq!(
+            merger.source_stats(0).lane_blocks_probed,
+            0,
+            "query {q}: source 0 of the range split probed lane blocks"
+        );
+        range_total = range_total + merger.stats();
+    }
+    let handed = range_total.lane_blocks_probed + range_total.lane_blocks_skipped;
+    let skipped = range_total.lane_blocks_skipped as f64 / handed.max(1) as f64;
+    println!(
+        "  summary: progressive_merge_range4 over {} queries: {} candidates, {} survivors, \
+         {} lane blocks probed, {} skipped ({:.0}%)",
+        range_inputs.len(),
+        range_total.candidates,
+        range_total.survivors,
+        range_total.lane_blocks_probed,
+        range_total.lane_blocks_skipped,
+        skipped * 100.0,
+    );
+    assert!(
+        skipped >= 0.3,
+        "the range merge must skip at least 30% of its lane blocks, skipped {:.1}%",
+        skipped * 100.0
+    );
 
     // Extra measured passes reporting the acceptance numbers alongside the timings: three
     // interleaved rounds per arm, best-of taken, so a single noisy pass cannot skew the

@@ -1,103 +1,315 @@
-//! Cross-fragment skyline merge: the divide-and-conquer merge step promoted to a
-//! first-class query-time operator.
+//! Cross-source skyline merge: the divide-and-conquer merge step promoted to a first-class
+//! query-time operator.
 //!
-//! The union property behind both entry points: for any partition `D = D₁ ∪ … ∪ Dₘ`,
-//! `SKY(D) ⊆ SKY(D₁) ∪ … ∪ SKY(Dₘ)` — a point dominated inside its own fragment is dominated
-//! in the union, so merging the per-fragment skylines with one cross-fragment elimination
-//! pass yields exactly the global skyline. This holds for the paper's partial-order
-//! preferences because dominance is transitive (numeric `≤` composed with strict-order
-//! closures), not just for total orders.
+//! The union property behind every entry point: for any partition `D = D₁ ∪ … ∪ Dₘ`,
+//! `SKY(D) ⊆ SKY(D₁) ∪ … ∪ SKY(Dₘ)` — a point dominated inside its own source is dominated
+//! in the union, so one cross-source elimination over the per-source skylines yields exactly
+//! the global skyline. This holds for the paper's partial-order preferences because
+//! dominance is transitive (numeric `≤` composed with strict-order closures), not just for
+//! total orders.
 //!
-//! Two forms:
+//! # Contract
 //!
-//! * [`merge_skylines`] — all fragments live in **one** [`PointBlock`](crate::PointBlock) (the Adaptive-SFS
-//!   parallel build merges its per-chunk skylines this way);
-//! * [`SkylineMerger`] — fragments come from **different** sources with their own row-id
-//!   spaces (a sharded service merges per-shard skylines this way): callers push each
-//!   candidate's raw values and get back `(source, id)` tags.
+//! Each source's candidates must be a skyline of that source: mutually non-dominating.
+//! The mergers never test a candidate against its own source, so a source holding a
+//! dominated pair keeps both rows. Every caller meets this: sharded `serve` and
+//! `serve_streaming` feed per-shard skylines, and the Adaptive-SFS parallel build feeds
+//! per-chunk skylines.
 //!
-//! Both preserve the input/push order of the surviving points, so feeding score-sorted
+//! # Source-aware elimination
+//!
+//! Candidates are packed per source into 64-row lane blocks, and each source keeps, per
+//! numeric dimension, the minimum and maximum of the rows it holds. A candidate `c` of
+//! source `s`:
+//!
+//! * skips source `s` (the contract);
+//! * when looking for a dominator, skips every source `q` with a numeric dimension `j`
+//!   where `min_q[j] > c[j]`: every row of `q` is worse than `c` there;
+//! * when evicting the rows it dominates (batch forms only), skips every source `q` with a
+//!   dimension `j` where `max_q[j] < c[j]`: `c` is worse than every row of `q` there;
+//! * probes the lanes of every other source.
+//!
+//! A NaN value neither blocks nor establishes dominance, so it must never enable a skip: a
+//! NaN row value counts as −∞ in `min` and as +∞ in `max`, and a NaN candidate value
+//! compares false against any bound. Both rules are exact, so they change the work and
+//! never the answer. The bounds come from the data: range-partitioned sources get exact
+//! pruning of the sources above them, any partition gets the own-source skip, and a single
+//! source comes back as-is with zero dominance tests. [`MergeStats`] counts the work.
+//!
+//! Three forms:
+//!
+//! * [`merge_skylines`] — every source lives in **one** [`PointBlock`](crate::PointBlock)
+//!   (the Adaptive-SFS parallel build merges its per-chunk skylines this way);
+//! * [`SkylineMerger`] — sources with their own row-id spaces (a sharded service merges
+//!   per-shard skylines this way): callers push each candidate's raw values and get back
+//!   `(source, id)` tags;
+//! * [`ProgressiveMerger`] — the same merge over per-source **streams**, publishing rows as
+//!   soon as the stream frontiers allow.
+//!
+//! The batch forms preserve the push order of the survivors, so feeding score-sorted
 //! candidates yields a score-sorted skyline (what the SFS machinery relies on).
 
 use crate::error::{Result, SkylineError};
 use crate::kernel::{CompiledOrder, CompiledRelation};
-use crate::lanes::{stage_probe, PackedLanes};
+use crate::lanes::{stage_probe, PackedLanes, LANE_COUNT};
 use crate::value::{PointId, ValueId};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
+/// Deterministic work counters of a cross-source merge: identical inputs give identical
+/// counts, whatever the machine or its load.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MergeStats {
+    /// Candidates pushed or offered.
+    pub candidates: u64,
+    /// Candidates that survived (batch) or were published (progressive).
+    pub survivors: u64,
+    /// 64-row lane blocks handed to dominance probes, in both directions for the batch
+    /// forms (finding a dominator, evicting dominated rows).
+    pub lane_blocks_probed: u64,
+    /// Lane blocks a probe passed over: the candidate's own source, or a source whose value
+    /// bounds rule dominance out.
+    pub lane_blocks_skipped: u64,
+}
+
+impl std::ops::Add for MergeStats {
+    type Output = Self;
+
+    fn add(self, other: Self) -> Self {
+        Self {
+            candidates: self.candidates + other.candidates,
+            survivors: self.survivors + other.survivors,
+            lane_blocks_probed: self.lane_blocks_probed + other.lane_blocks_probed,
+            lane_blocks_skipped: self.lane_blocks_skipped + other.lane_blocks_skipped,
+        }
+    }
+}
+
+/// One source's share of a merge: its surviving candidates packed into lanes, the value
+/// bounds behind the skip rules, and the work its candidates did.
+#[derive(Debug, Clone, Default)]
+struct SourceLanes {
+    lanes: PackedLanes,
+    /// Per numeric dimension, the smallest value pushed here; NaN counts as −∞.
+    min: Vec<f64>,
+    /// Per numeric dimension, the largest value pushed here; NaN counts as +∞.
+    max: Vec<f64>,
+    stats: MergeStats,
+}
+
+impl SourceLanes {
+    fn reset(&mut self, numeric_dims: usize, nominal_dims: usize) {
+        self.lanes.reset(numeric_dims, nominal_dims);
+        self.min.clear();
+        self.min.resize(numeric_dims, f64::INFINITY);
+        self.max.clear();
+        self.max.resize(numeric_dims, f64::NEG_INFINITY);
+        self.stats = MergeStats::default();
+    }
+
+    fn push(&mut self, numeric: &[f64], probe: &[u16]) {
+        self.lanes.push(numeric, probe);
+        for ((lo, hi), &v) in self.min.iter_mut().zip(&mut self.max).zip(numeric) {
+            if v.is_nan() {
+                *lo = f64::NEG_INFINITY;
+                *hi = f64::INFINITY;
+            } else {
+                *lo = lo.min(v);
+                *hi = hi.max(v);
+            }
+        }
+    }
+
+    fn blocks(&self) -> u64 {
+        self.lanes.len().div_ceil(LANE_COUNT) as u64
+    }
+
+    /// True when no row here can dominate `c`: on some dimension every row is worse.
+    fn cannot_dominate(&self, c: &[f64]) -> bool {
+        self.min.iter().zip(c).any(|(&lo, &v)| lo > v)
+    }
+
+    /// True when `c` can dominate no row here: on some dimension `c` is worse than every row.
+    fn cannot_be_dominated_by(&self, c: &[f64]) -> bool {
+        self.max.iter().zip(c).any(|(&hi, &v)| hi < v)
+    }
+}
+
+/// Resets `sources` to `count` empty sources, keeping their allocations.
+fn reset_sources(
+    sources: &mut Vec<SourceLanes>,
+    count: usize,
+    numeric_dims: usize,
+    nominal_dims: usize,
+) {
+    sources.resize_with(count, SourceLanes::default);
+    for source in sources.iter_mut() {
+        source.reset(numeric_dims, nominal_dims);
+    }
+}
+
+fn total_stats(sources: &[SourceLanes]) -> MergeStats {
+    sources
+        .iter()
+        .fold(MergeStats::default(), |acc, s| acc + s.stats)
+}
+
+/// True when a row held by a source other than `own` dominates the candidate (`pn` numeric
+/// values, `probe` nominal pairs). Probes only the sources the min-bound rule leaves in, and
+/// charges the work to `own`.
+fn find_dominator(
+    sources: &mut [SourceLanes],
+    own: usize,
+    orders: &[CompiledOrder],
+    pn: &[f64],
+    probe: &[u16],
+) -> bool {
+    let (mut probed, mut skipped, mut found) = (0, 0, false);
+    for (q, source) in sources.iter().enumerate() {
+        let blocks = source.blocks();
+        if q == own || source.cannot_dominate(pn) {
+            skipped += blocks;
+            continue;
+        }
+        probed += blocks;
+        let limit = source.lanes.len();
+        if source
+            .lanes
+            .first_dominator(orders, pn, probe, limit)
+            .is_some()
+        {
+            found = true;
+            break;
+        }
+    }
+    let stats = &mut sources[own].stats;
+    stats.lane_blocks_probed += probed;
+    stats.lane_blocks_skipped += skipped;
+    found
+}
+
+/// Evicts every row held by a source other than `own` that the candidate dominates,
+/// probing only the sources the max-bound rule leaves in, and charges the work to `own`.
+fn evict_dominated(
+    sources: &mut [SourceLanes],
+    own: usize,
+    orders: &[CompiledOrder],
+    pn: &[f64],
+    probe: &[u16],
+) {
+    let (mut probed, mut skipped) = (0, 0);
+    for (q, source) in sources.iter_mut().enumerate() {
+        let blocks = source.blocks();
+        if q == own || source.cannot_be_dominated_by(pn) {
+            skipped += blocks;
+            continue;
+        }
+        probed += blocks;
+        let limit = source.lanes.len();
+        source.lanes.clear_dominated_by(orders, pn, probe, limit);
+    }
+    let stats = &mut sources[own].stats;
+    stats.lane_blocks_probed += probed;
+    stats.lane_blocks_skipped += skipped;
+}
+
+/// The batch elimination behind [`merge_skylines`] and [`SkylineMerger::merge`]. Candidates
+/// are taken in push order, and `slots[c]` is candidate `c`'s source in `sources` (reset by
+/// the caller). A candidate dies when an earlier survivor of another source dominates it;
+/// otherwise it evicts the earlier survivors of other sources it dominates and joins its own
+/// source's lanes. Returns keep flags in push order.
+///
+/// Probing before evicting loses nothing: if an earlier survivor `k` dominates `c`,
+/// transitivity puts anything `c` could kill inside `k`'s kill set, and `k` already cleared
+/// it on its own turn.
+fn eliminate<'a>(
+    orders: &[CompiledOrder],
+    sources: &mut [SourceLanes],
+    slots: &[usize],
+    numeric_row: impl Fn(usize) -> &'a [f64],
+    nominal_row: impl Fn(usize) -> &'a [ValueId],
+) -> Vec<bool> {
+    let n = slots.len() as u64;
+    if let Some(&first) = slots.first() {
+        if slots.iter().all(|&s| s == first) {
+            // One source: its candidates are its skyline, so the merge is the identity.
+            sources[first].stats.candidates = n;
+            sources[first].stats.survivors = n;
+            return vec![true; slots.len()];
+        }
+    }
+    let mut probe: Vec<u16> = Vec::with_capacity(orders.len() * 2);
+    // Each candidate's lane in its source, or `None` when it died on arrival.
+    let mut lanes: Vec<Option<usize>> = Vec::with_capacity(slots.len());
+    for (c, &s) in slots.iter().enumerate() {
+        sources[s].stats.candidates += 1;
+        stage_probe(&mut probe, orders, nominal_row(c));
+        let pn = numeric_row(c);
+        if find_dominator(sources, s, orders, pn, &probe) {
+            lanes.push(None);
+            continue;
+        }
+        evict_dominated(sources, s, orders, pn, &probe);
+        lanes.push(Some(sources[s].lanes.len()));
+        sources[s].push(pn, &probe);
+    }
+    slots
+        .iter()
+        .zip(lanes)
+        .map(|(&s, lane)| {
+            let keep = lane.is_some_and(|l| sources[s].lanes.is_valid(l));
+            sources[s].stats.survivors += u64::from(keep);
+            keep
+        })
+        .collect()
+}
+
 /// Merges per-fragment skylines of disjoint row sets of one block into the skyline of their
 /// union, preserving the concatenated input order of the survivors.
 ///
-/// Each fragment must already be a skyline of its own rows (points dominated by a
-/// fragment-mate would be eliminated here too, so the answer stays correct — it is the
-/// near-quadratic merge that is sized for pre-reduced inputs). Fragments must not repeat a
-/// row id: duplicates are never dominated by themselves and would both survive.
+/// Each fragment is one source of the merge and must be a skyline of its own rows (see the
+/// module's contract): rows are never tested against their own fragment, so a fragment
+/// holding a dominated pair keeps both. Fragments must not repeat a row id: duplicates are
+/// never dominated by themselves and would both survive. Fragments are skipped by the value
+/// bounds of their rows as the module describes, and a merge with one non-empty fragment
+/// returns it without a dominance test.
 pub fn merge_skylines(relation: &CompiledRelation, fragments: &[&[PointId]]) -> Vec<PointId> {
-    let total = fragments.iter().map(|f| f.len()).sum();
-    let mut candidates: Vec<PointId> = Vec::with_capacity(total);
-    for fragment in fragments {
-        candidates.extend_from_slice(fragment);
-    }
+    let candidates: Vec<PointId> = fragments.concat();
+    let slots: Vec<usize> = fragments
+        .iter()
+        .enumerate()
+        .flat_map(|(f, fragment)| std::iter::repeat_n(f, fragment.len()))
+        .collect();
     let block = relation.block();
-    let alive = eliminate(
-        relation.orders(),
+    let mut sources = Vec::new();
+    reset_sources(
+        &mut sources,
+        fragments.len(),
         block.numeric_dims(),
-        candidates.len(),
+        relation.orders().len(),
+    );
+    let keep = eliminate(
+        relation.orders(),
+        &mut sources,
+        &slots,
         |c| block.numeric_row(candidates[c]),
         |c| block.nominal_row(candidates[c]),
     );
     candidates
         .into_iter()
-        .zip(alive)
+        .zip(keep)
         .filter_map(|(p, keep)| keep.then_some(p))
         .collect()
-}
-
-/// The shared cross-candidate elimination: candidate `c` dies when an earlier survivor
-/// dominates it, and kills earlier survivors it dominates. Output flags preserve input order.
-///
-/// All candidates are packed into 64-row lane blocks up front, then each surviving candidate
-/// probes the lanes **strictly before its own** (a prefix `limit`) for a dominator and,
-/// failing that, mask-evicts the earlier lanes it dominates. Probing before evicting loses
-/// nothing: if an earlier survivor `k` dominates `c`, transitivity puts anything `c` could
-/// kill inside `k`'s kill set, and `k` already cleared it on its own turn.
-fn eliminate<'a>(
-    orders: &[CompiledOrder],
-    numeric_dims: usize,
-    n: usize,
-    numeric_row: impl Fn(usize) -> &'a [f64],
-    nominal_row: impl Fn(usize) -> &'a [ValueId],
-) -> Vec<bool> {
-    let mut lanes = PackedLanes::default();
-    lanes.reset(numeric_dims, orders.len());
-    let mut probe: Vec<u16> = Vec::with_capacity(orders.len() * 2);
-    for c in 0..n {
-        stage_probe(&mut probe, orders, nominal_row(c));
-        lanes.push(numeric_row(c), &probe);
-    }
-    for c in 0..n {
-        if !lanes.is_valid(c) {
-            continue;
-        }
-        stage_probe(&mut probe, orders, nominal_row(c));
-        let pn = numeric_row(c);
-        if lanes.first_dominator(orders, pn, &probe, c).is_some() {
-            lanes.clear_valid(c);
-        } else {
-            lanes.clear_dominated_by(orders, pn, &probe, c);
-        }
-    }
-    (0..n).map(|c| lanes.is_valid(c)).collect()
 }
 
 /// Push-based cross-source skyline merge on compiled nominal orders.
 ///
 /// Sources with different row-id spaces (dataset shards, remote partitions) cannot share a
-/// [`PointBlock`](crate::PointBlock), so the merger owns a row-major copy of the candidate values instead:
-/// push every per-source skyline member with its raw values, then [`SkylineMerger::merge`]
-/// returns the `(source, id)` tags of the global skyline in push order.
+/// [`PointBlock`](crate::PointBlock), so the merger owns a row-major copy of the candidate
+/// values instead: push every per-source skyline member with its raw values, then
+/// [`SkylineMerger::merge`] returns the `(source, id)` tags of the global skyline in push
+/// order. Each source's candidates must be its skyline (the module's contract).
 ///
 /// Dominance matches [`CompiledRelation::dominates`] exactly — numeric smaller-is-better
 /// with NaN neither blocking nor establishing dominance, nominal strict preference through
@@ -109,6 +321,14 @@ pub struct SkylineMerger {
     numerics: Vec<f64>,
     nominals: Vec<ValueId>,
     tags: Vec<(usize, PointId)>,
+    /// Per pushed candidate, its source's index in `source_tags`.
+    slots: Vec<usize>,
+    /// The distinct sources pushed so far, in first-push order.
+    source_tags: Vec<usize>,
+    /// Per-source lanes, kept across merges for their allocations.
+    sources: Vec<SourceLanes>,
+    /// Work counters of the last merge.
+    stats: MergeStats,
 }
 
 impl SkylineMerger {
@@ -121,6 +341,10 @@ impl SkylineMerger {
             numerics: Vec::new(),
             nominals: Vec::new(),
             tags: Vec::new(),
+            slots: Vec::new(),
+            source_tags: Vec::new(),
+            sources: Vec::new(),
+            stats: MergeStats::default(),
         }
     }
 
@@ -134,6 +358,11 @@ impl SkylineMerger {
         self.tags.is_empty()
     }
 
+    /// Work counters of the last [`SkylineMerger::merge`] (zero before the first).
+    pub fn stats(&self) -> MergeStats {
+        self.stats
+    }
+
     /// Pushes one candidate: its source index, its id within that source, and its raw values
     /// in dimension-index order. Values must match the merger's dimensionality, and every
     /// nominal value must be inside its compiled order's domain.
@@ -144,72 +373,94 @@ impl SkylineMerger {
         numeric: &[f64],
         nominal: &[ValueId],
     ) -> Result<()> {
-        if numeric.len() != self.numeric_dims || nominal.len() != self.orders.len() {
-            return Err(SkylineError::InvalidArgument(format!(
-                "candidate has {} numeric / {} nominal values but the merger expects {} / {}",
-                numeric.len(),
-                nominal.len(),
-                self.numeric_dims,
-                self.orders.len()
-            )));
-        }
-        for (j, (&v, order)) in nominal.iter().zip(&self.orders).enumerate() {
-            if (v as usize) >= order.cardinality() {
-                return Err(SkylineError::InvalidArgument(format!(
-                    "nominal value {v} on dimension {j} is outside the compiled order's \
-                     cardinality {}",
-                    order.cardinality()
-                )));
+        check_row(&self.orders, self.numeric_dims, numeric, nominal)?;
+        // Callers push source by source, so the last tag almost always matches.
+        let slot = match self.source_tags.iter().rposition(|&t| t == source) {
+            Some(slot) => slot,
+            None => {
+                self.source_tags.push(source);
+                self.source_tags.len() - 1
             }
-        }
+        };
         self.numerics.extend_from_slice(numeric);
         self.nominals.extend_from_slice(nominal);
         self.tags.push((source, id));
+        self.slots.push(slot);
         Ok(())
     }
 
     /// Runs the cross-source elimination and returns the surviving `(source, id)` tags in
     /// push order. The merger is left empty, ready for the next query.
     pub fn merge(&mut self) -> Vec<(usize, PointId)> {
-        let alive = eliminate(
+        let (numeric_dims, nominal_dims) = (self.numeric_dims, self.orders.len());
+        reset_sources(
+            &mut self.sources,
+            self.source_tags.len(),
+            numeric_dims,
+            nominal_dims,
+        );
+        let (numerics, nominals) = (&self.numerics, &self.nominals);
+        let keep = eliminate(
             &self.orders,
-            self.numeric_dims,
-            self.tags.len(),
-            |c| self.numeric_row(c),
-            |c| self.nominal_row(c),
+            &mut self.sources,
+            &self.slots,
+            |c| &numerics[c * numeric_dims..(c + 1) * numeric_dims],
+            |c| &nominals[c * nominal_dims..(c + 1) * nominal_dims],
         );
         let survivors = self
             .tags
             .iter()
-            .zip(alive)
+            .zip(keep)
             .filter_map(|(&tag, keep)| keep.then_some(tag))
             .collect();
+        self.stats = total_stats(&self.sources);
         self.numerics.clear();
         self.nominals.clear();
         self.tags.clear();
+        self.slots.clear();
+        self.source_tags.clear();
         survivors
     }
+}
 
-    fn numeric_row(&self, c: usize) -> &[f64] {
-        &self.numerics[c * self.numeric_dims..(c + 1) * self.numeric_dims]
+/// Checks one candidate row against a merger's dimensionality and nominal domains.
+fn check_row(
+    orders: &[CompiledOrder],
+    numeric_dims: usize,
+    numeric: &[f64],
+    nominal: &[ValueId],
+) -> Result<()> {
+    if numeric.len() != numeric_dims || nominal.len() != orders.len() {
+        return Err(SkylineError::InvalidArgument(format!(
+            "candidate has {} numeric / {} nominal values but the merger expects {} / {}",
+            numeric.len(),
+            nominal.len(),
+            numeric_dims,
+            orders.len()
+        )));
     }
-
-    fn nominal_row(&self, c: usize) -> &[ValueId] {
-        let dims = self.orders.len();
-        &self.nominals[c * dims..(c + 1) * dims]
+    for (j, (&v, order)) in nominal.iter().zip(orders).enumerate() {
+        if (v as usize) >= order.cardinality() {
+            return Err(SkylineError::InvalidArgument(format!(
+                "nominal value {v} on dimension {j} is outside the compiled order's \
+                 cardinality {}",
+                order.cardinality()
+            )));
+        }
     }
+    Ok(())
 }
 
 /// One candidate buffered inside a [`ProgressiveMerger`], ordered by
 /// `(score, source, id)` with [`f64::total_cmp`] so the resolution order is total and
-/// deterministic even in the presence of NaN scores.
+/// deterministic even in the presence of NaN scores. Its values live in the merger's slab
+/// at `row`.
 #[derive(Debug, Clone)]
 struct PendingCandidate {
     score: f64,
     source: usize,
     id: PointId,
-    numeric: Vec<f64>,
-    nominal: Vec<ValueId>,
+    row: usize,
 }
 
 impl PartialEq for PendingCandidate {
@@ -236,16 +487,18 @@ impl Ord for PendingCandidate {
 /// confirmed skyline members come out as early as the frontiers allow, instead of only after
 /// every source has finished.
 ///
-/// Each source must emit its candidates in non-decreasing score order under a **shared**
-/// monotone score function (`p ≺ q ⇒ f(p) < f(q)` — the [`crate::score::ScoreFn`] of the
-/// query preference). Offering a candidate advances its source's *frontier* to that score; a
-/// buffered candidate at score `s` is resolved once every unfinished source's frontier has
-/// reached `s`: by monotonicity any potential dominator scores strictly below `s`, so it has
-/// already been emitted by its source and resolved here. Resolution happens in ascending
-/// global score order, testing each candidate against the already-published survivors only —
-/// sufficient by transitivity, exactly as in the batch elimination. Published rows are
-/// **final**: the merged stream never retracts, and once every source is finished the
-/// published set equals what [`SkylineMerger`] would have produced from the same candidates.
+/// Each source must emit its skyline (the module's contract) in non-decreasing score order
+/// under a **shared** monotone score function (`p ≺ q ⇒ f(p) < f(q)` — the
+/// [`crate::score::ScoreFn`] of the query preference). Offering a candidate advances its
+/// source's *frontier* to that score; a buffered candidate at score `s` is resolved once
+/// every unfinished source's frontier has reached `s`: by monotonicity any potential
+/// dominator scores strictly below `s`, so it has already been emitted by its source and
+/// resolved here. Resolution happens in ascending `(score, source, id)` order, testing each
+/// candidate against the already-published survivors of the other sources only —
+/// sufficient by transitivity, exactly as in the batch elimination — and skipping the
+/// sources whose minimum bounds rule out a dominator. Published rows are **final**: the
+/// merged stream never retracts, and once every source is finished the published set equals
+/// what [`SkylineMerger`] would have produced from the same candidates.
 ///
 /// # Bounded staleness
 ///
@@ -270,9 +523,15 @@ pub struct ProgressiveMerger {
     /// means sources are never timed out.
     laggard_timeout: Option<Duration>,
     pending: BinaryHeap<Reverse<PendingCandidate>>,
-    /// The published survivors (the only dominators later candidates ever need to be tested
-    /// against), packed 64 to a lane block. Published rows are final, so no lane is evicted.
-    published: PackedLanes,
+    /// The pending candidates' values, row-major in offer order; emptied whenever nothing
+    /// is pending.
+    numerics: Vec<f64>,
+    nominals: Vec<ValueId>,
+    /// Rows in the value slab.
+    slab_rows: usize,
+    /// The published survivors of each source (the only dominators later candidates ever
+    /// need to be tested against). Published rows are final, so no lane is evicted.
+    sources: Vec<SourceLanes>,
     /// Scratch for the candidate's `(value id, layered rank)` pairs.
     probe: Vec<u16>,
 }
@@ -282,8 +541,8 @@ impl ProgressiveMerger {
     /// compiled order per nominal dimension (compile them once per query, as for
     /// [`SkylineMerger`]).
     pub fn new(orders: Vec<CompiledOrder>, numeric_dims: usize, sources: usize) -> Self {
-        let mut published = PackedLanes::default();
-        published.reset(numeric_dims, orders.len());
+        let mut lanes = Vec::new();
+        reset_sources(&mut lanes, sources, numeric_dims, orders.len());
         Self {
             orders,
             numeric_dims,
@@ -291,7 +550,10 @@ impl ProgressiveMerger {
             last_progress: vec![Instant::now(); sources],
             laggard_timeout: None,
             pending: BinaryHeap::new(),
-            published,
+            numerics: Vec::new(),
+            nominals: Vec::new(),
+            slab_rows: 0,
+            sources: lanes,
             probe: Vec::new(),
         }
     }
@@ -360,7 +622,20 @@ impl ProgressiveMerger {
 
     /// Number of rows published (confirmed) so far.
     pub fn published(&self) -> usize {
-        self.published.len()
+        self.sources.iter().map(|s| s.lanes.len()).sum()
+    }
+
+    /// Work counters accumulated so far, over every source.
+    pub fn stats(&self) -> MergeStats {
+        total_stats(&self.sources)
+    }
+
+    /// Work counters of `source`'s candidates so far (zero for an unknown source).
+    pub fn source_stats(&self, source: usize) -> MergeStats {
+        self.sources
+            .get(source)
+            .map(|s| s.stats)
+            .unwrap_or_default()
     }
 
     /// True once every source has finished and every buffered candidate was resolved.
@@ -396,33 +671,19 @@ impl ProgressiveMerger {
                  non-decreasing in score"
             )));
         }
-        if numeric.len() != self.numeric_dims || nominal.len() != self.orders.len() {
-            return Err(SkylineError::InvalidArgument(format!(
-                "candidate has {} numeric / {} nominal values but the merger expects {} / {}",
-                numeric.len(),
-                nominal.len(),
-                self.numeric_dims,
-                self.orders.len()
-            )));
-        }
-        for (j, (&v, order)) in nominal.iter().zip(&self.orders).enumerate() {
-            if (v as usize) >= order.cardinality() {
-                return Err(SkylineError::InvalidArgument(format!(
-                    "nominal value {v} on dimension {j} is outside the compiled order's \
-                     cardinality {}",
-                    order.cardinality()
-                )));
-            }
-        }
+        check_row(&self.orders, self.numeric_dims, numeric, nominal)?;
         *frontier = Some(score);
         self.last_progress[source] = Instant::now();
+        self.sources[source].stats.candidates += 1;
+        self.numerics.extend_from_slice(numeric);
+        self.nominals.extend_from_slice(nominal);
         self.pending.push(Reverse(PendingCandidate {
             score,
             source,
             id,
-            numeric: numeric.to_vec(),
-            nominal: nominal.to_vec(),
+            row: self.slab_rows,
         }));
+        self.slab_rows += 1;
         Ok(())
     }
 
@@ -445,6 +706,7 @@ impl ProgressiveMerger {
             .flatten()
             .copied()
             .fold(f64::INFINITY, f64::min);
+        let (numeric_dims, nominal_dims) = (self.numeric_dims, self.orders.len());
         while let Some(Reverse(top)) = self.pending.peek() {
             // Resolvable once no unfinished stream can still emit a smaller score. NaN
             // scores sort last under total_cmp and resolve only when everything finished.
@@ -452,16 +714,20 @@ impl ProgressiveMerger {
                 break;
             }
             let Reverse(c) = self.pending.pop().expect("peeked above");
-            stage_probe(&mut self.probe, &self.orders, &c.nominal);
-            let limit = self.published.len();
-            if self
-                .published
-                .first_dominator(&self.orders, &c.numeric, &self.probe, limit)
-                .is_none()
-            {
-                self.published.push(&c.numeric, &self.probe);
+            let pn = &self.numerics[c.row * numeric_dims..(c.row + 1) * numeric_dims];
+            let nominal = &self.nominals[c.row * nominal_dims..(c.row + 1) * nominal_dims];
+            stage_probe(&mut self.probe, &self.orders, nominal);
+            if !find_dominator(&mut self.sources, c.source, &self.orders, pn, &self.probe) {
+                let source = &mut self.sources[c.source];
+                source.push(pn, &self.probe);
+                source.stats.survivors += 1;
                 out.push((c.source, c.id));
             }
+        }
+        if self.pending.is_empty() {
+            self.numerics.clear();
+            self.nominals.clear();
+            self.slab_rows = 0;
         }
     }
 }
@@ -836,17 +1102,195 @@ mod tests {
     fn nan_values_neither_block_nor_establish_dominance() {
         let orders: Vec<CompiledOrder> = Vec::new();
         let mut merger = SkylineMerger::new(orders, 2);
-        // (NaN, 1) vs (2, 1): no strict edge either way — both survive.
+        // (NaN, 1) vs (2, 1) from different sources: no strict edge either way — both survive.
         merger.push(0, 0, &[f64::NAN, 1.0], &[]).unwrap();
-        merger.push(0, 1, &[2.0, 1.0], &[]).unwrap();
-        assert_eq!(merger.merge(), vec![(0, 0), (0, 1)]);
+        merger.push(1, 1, &[2.0, 1.0], &[]).unwrap();
+        assert_eq!(merger.merge(), vec![(0, 0), (1, 1)]);
         // The progressive merger's published lanes follow the same rule.
-        let mut progressive = ProgressiveMerger::new(Vec::new(), 2, 1);
+        let mut progressive = ProgressiveMerger::new(Vec::new(), 2, 2);
         progressive.offer(0, 0, 1.0, &[f64::NAN, 1.0], &[]).unwrap();
-        progressive.offer(0, 1, 2.0, &[2.0, 1.0], &[]).unwrap();
+        progressive.offer(1, 1, 2.0, &[2.0, 1.0], &[]).unwrap();
         progressive.finish(0);
+        progressive.finish(1);
         let mut out = Vec::new();
         progressive.drain_ready(&mut out);
-        assert_eq!(out, vec![(0, 0), (0, 1)]);
+        assert_eq!(out, vec![(0, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn nan_values_never_enable_a_bound_skip() {
+        // (NaN, 0.5) dominates (1, 1) through the second dimension. Its source's minimum on
+        // dimension 0 must read −∞, or the min-bound rule would skip the dominator.
+        let mut merger = SkylineMerger::new(Vec::new(), 2);
+        merger.push(1, 0, &[f64::NAN, 0.5], &[]).unwrap();
+        merger.push(0, 0, &[1.0, 1.0], &[]).unwrap();
+        assert_eq!(merger.merge(), vec![(1, 0)]);
+        let mut progressive = ProgressiveMerger::new(Vec::new(), 2, 2);
+        progressive.offer(1, 0, 0.5, &[f64::NAN, 0.5], &[]).unwrap();
+        progressive.offer(0, 0, 2.0, &[1.0, 1.0], &[]).unwrap();
+        progressive.finish(0);
+        progressive.finish(1);
+        let mut out = Vec::new();
+        progressive.drain_ready(&mut out);
+        assert_eq!(out, vec![(1, 0)]);
+        // (0.5, 1) dominates an earlier (NaN, 2): that source's maximum on dimension 0 must
+        // read +∞, or the max-bound rule would skip the eviction.
+        merger.push(1, 0, &[f64::NAN, 2.0], &[]).unwrap();
+        merger.push(0, 0, &[0.5, 1.0], &[]).unwrap();
+        assert_eq!(merger.merge(), vec![(0, 0)]);
+    }
+
+    fn dominates2(a: [f64; 2], b: [f64; 2]) -> bool {
+        a[0] <= b[0] && a[1] <= b[1] && (a[0] < b[0] || a[1] < b[1])
+    }
+
+    /// One source's rows as `(id, values)`.
+    type Source2 = Vec<(PointId, [f64; 2])>;
+
+    /// 400 anti-correlated rows `(x, y)` split by range on `x` into four sources of 100,
+    /// each reduced to its own skyline and listed in ascending `x + y` order; plus the ids
+    /// of the global skyline, ascending.
+    fn range4_sources() -> (Vec<Source2>, Vec<PointId>) {
+        let rows: Vec<[f64; 2]> = (0..400u32)
+            .map(|i| [f64::from(i), f64::from(400 - i + (i * 37 % 11) * 3)])
+            .collect();
+        let skyline_of = |ids: &[PointId]| -> Vec<PointId> {
+            ids.iter()
+                .copied()
+                .filter(|&p| {
+                    !ids.iter()
+                        .any(|&q| dominates2(rows[q as usize], rows[p as usize]))
+                })
+                .collect()
+        };
+        let sources = (0..4u32)
+            .map(|s| {
+                let ids: Vec<PointId> = (s * 100..(s + 1) * 100).collect();
+                let mut sky: Source2 = skyline_of(&ids)
+                    .into_iter()
+                    .map(|p| (p, rows[p as usize]))
+                    .collect();
+                sky.sort_by(|a, b| (a.1[0] + a.1[1]).total_cmp(&(b.1[0] + b.1[1])));
+                sky
+            })
+            .collect();
+        let all: Vec<PointId> = (0..400).collect();
+        (sources, skyline_of(&all))
+    }
+
+    /// Drives a progressive merger the way the sharded stream does: pull the source with the
+    /// lowest frontier, offer one row, drain.
+    fn drive_progressive(
+        merger: &mut ProgressiveMerger,
+        sources: &[Source2],
+    ) -> Vec<(usize, PointId)> {
+        let mut pos = vec![0; sources.len()];
+        let mut frontier = vec![f64::NEG_INFINITY; sources.len()];
+        let mut active = vec![true; sources.len()];
+        let mut out = Vec::new();
+        while let Some(s) = (0..sources.len())
+            .filter(|&s| active[s])
+            .min_by(|&a, &b| frontier[a].total_cmp(&frontier[b]))
+        {
+            match sources[s].get(pos[s]) {
+                Some(&(p, v)) => {
+                    frontier[s] = v[0] + v[1];
+                    merger.offer(s, p, frontier[s], &v, &[]).unwrap();
+                    pos[s] += 1;
+                }
+                None => {
+                    merger.finish(s);
+                    active[s] = false;
+                }
+            }
+            merger.drain_ready(&mut out);
+        }
+        assert!(merger.is_complete());
+        out
+    }
+
+    #[test]
+    fn range_split_sources_skip_what_their_bounds_rule_out() {
+        let (sources, expected) = range4_sources();
+        let candidates: usize = sources.iter().map(Vec::len).sum();
+        assert!(expected.len() < candidates, "some rows die across sources");
+
+        let mut progressive = ProgressiveMerger::new(Vec::new(), 2, 4);
+        let out = drive_progressive(&mut progressive, &sources);
+        let scores: Vec<f64> = out
+            .iter()
+            .map(|&(_, p)| sources.iter().flatten().find(|r| r.0 == p).unwrap().1)
+            .map(|v| v[0] + v[1])
+            .collect();
+        assert!(scores.windows(2).all(|w| w[0] <= w[1]), "score order");
+        let mut got: Vec<PointId> = out.iter().map(|&(_, p)| p).collect();
+        got.sort_unstable();
+        assert_eq!(got, expected);
+        // Every other source's x is above source 0's, and its own rows never dominate it.
+        let first = progressive.source_stats(0);
+        assert_eq!(first.lane_blocks_probed, 0);
+        assert!(first.lane_blocks_skipped > 0);
+        let total = progressive.stats();
+        assert!(total.lane_blocks_skipped > 0);
+        assert_eq!(total.candidates, candidates as u64);
+        assert_eq!(total.survivors, expected.len() as u64);
+        assert_eq!(
+            total,
+            (0..4)
+                .map(|s| progressive.source_stats(s))
+                .fold(MergeStats::default(), |acc, s| acc + s)
+        );
+
+        let mut batch = SkylineMerger::new(Vec::new(), 2);
+        for (s, rows) in sources.iter().enumerate() {
+            for &(p, v) in rows {
+                batch.push(s, p, &v, &[]).unwrap();
+            }
+        }
+        let mut got: Vec<PointId> = batch.merge().into_iter().map(|(_, p)| p).collect();
+        got.sort_unstable();
+        assert_eq!(got, expected);
+        let stats = batch.stats();
+        assert_eq!(stats.candidates, candidates as u64);
+        assert_eq!(stats.survivors, expected.len() as u64);
+        assert!(stats.lane_blocks_skipped > 0);
+    }
+
+    #[test]
+    fn one_source_merge_is_the_identity_with_zero_probes() {
+        let rows: [[f64; 2]; 5] = [[3.0, 3.0], [1.0, 5.0], [5.0, 1.0], [2.0, 4.0], [4.0, 2.0]];
+        let mut batch = SkylineMerger::new(Vec::new(), 2);
+        for (p, v) in rows.iter().enumerate() {
+            batch.push(7, p as PointId, v, &[]).unwrap();
+        }
+        let tags: Vec<(usize, PointId)> = (0..5).map(|p| (7, p)).collect();
+        assert_eq!(batch.merge(), tags, "push order, nothing dropped");
+        assert_eq!(
+            batch.stats(),
+            MergeStats {
+                candidates: 5,
+                survivors: 5,
+                lane_blocks_probed: 0,
+                lane_blocks_skipped: 0,
+            }
+        );
+
+        let source = vec![rows
+            .iter()
+            .enumerate()
+            .map(|(p, &v)| (p as PointId, v))
+            .collect()];
+        let mut progressive = ProgressiveMerger::new(Vec::new(), 2, 1);
+        let out = drive_progressive(&mut progressive, &source);
+        assert_eq!(out, tags.iter().map(|&(_, p)| (0, p)).collect::<Vec<_>>());
+        assert_eq!(progressive.stats().lane_blocks_probed, 0);
+        assert_eq!(progressive.stats().survivors, 5);
+
+        // The single-block form: one non-empty fragment (plus an empty one) comes back as is.
+        let data = table3_data();
+        let (rel, pref) = query_relation(&data, &[("hotel-group", "T < *")]);
+        let mut sky = oracle(&data, &pref);
+        sky.reverse();
+        assert_eq!(merge_skylines(&rel, &[&[], &sky]), sky);
     }
 }

@@ -21,7 +21,7 @@ pub mod merge;
 pub mod sfs;
 pub mod sink;
 
-pub use merge::{merge_skylines, ProgressiveMerger, SkylineMerger};
+pub use merge::{merge_skylines, MergeStats, ProgressiveMerger, SkylineMerger};
 pub use sink::{CollectSink, ResultSink};
 
 use crate::dominance::Dominance;

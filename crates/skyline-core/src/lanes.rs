@@ -88,6 +88,7 @@ impl PackedLanes {
     }
 
     /// Evicts lane `l` (marks it invalid; its stored values are left in place).
+    #[cfg(test)]
     pub fn clear_valid(&mut self, l: usize) {
         debug_assert!(l < self.len);
         self.valid[l / LANE_COUNT] &= !(1u64 << (l % LANE_COUNT));

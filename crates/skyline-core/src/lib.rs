@@ -49,7 +49,9 @@ pub mod snapshot;
 pub mod stats;
 pub mod value;
 
-pub use algo::{merge_skylines, CollectSink, ProgressiveMerger, ResultSink, SkylineMerger};
+pub use algo::{
+    merge_skylines, CollectSink, MergeStats, ProgressiveMerger, ResultSink, SkylineMerger,
+};
 pub use bitset::BitSet;
 pub use dataset::{Dataset, DatasetBuilder, RowValue};
 pub use deadline::{CancelToken, Deadline, DEADLINE_CHECK_INTERVAL};

@@ -7,8 +7,11 @@
 //! **scatter** to per-shard engines (each running the paper's IPO-tree/Adaptive-SFS
 //! machinery over its slice of the data) and **gather** by a cross-shard dominance merge of
 //! the per-shard skylines ([`skyline_core::merge_skylines`]' operator, here via
-//! [`skyline_core::SkylineMerger`]). Per-shard skylines are tiny compared to their shards,
-//! so the merge is cheap and the scatter parallelizes the expensive part.
+//! [`skyline_core::SkylineMerger`] and, for streams, [`skyline_core::ProgressiveMerger`]).
+//! The merge is not free — on a cold 4-shard range-partitioned query it is the largest
+//! stage — so it is source-aware: a shard's rows are never tested against that shard, and
+//! a shard whose value bounds rule dominance out is skipped (under a range partition, every
+//! shard above a row's own). A 1-shard gather is a pass-through.
 //!
 //! The pieces:
 //!
@@ -426,6 +429,17 @@ impl Default for ShardedConfig {
     }
 }
 
+/// Writes shard `s`'s snapshot into `dir` (creating it) and counts the outcome in
+/// [`StatsSnapshot::snapshot_writes`] or [`StatsSnapshot::snapshot_write_failures`].
+fn write_shard_snapshot(metrics: &ServiceMetrics, dir: &Path, s: usize, shard: &SharedEngine) {
+    let written = std::fs::create_dir_all(dir).is_ok()
+        && shard
+            .read()
+            .write_snapshot_file(&shard_snapshot_path(dir, s))
+            .is_ok();
+    metrics.record_snapshot_write(written);
+}
+
 /// The canonical snapshot file name for shard `s` inside a snapshot directory.
 fn shard_snapshot_path(dir: &Path, s: usize) -> PathBuf {
     dir.join(format!("shard-{s:04}.snap"))
@@ -443,7 +457,7 @@ pub struct ShardedService {
     template: Template,
     cache: ResultCache<EpochVector, ShardedOutcome>,
     flight: SingleFlight<EpochVector>,
-    metrics: ServiceMetrics,
+    metrics: Arc<ServiceMetrics>,
     degrade: DegradePolicy,
     quarantine: Arc<Quarantine>,
     admission: AdmissionQueue,
@@ -583,6 +597,7 @@ impl ShardedService {
         metrics: ServiceMetrics,
     ) -> Result<Self> {
         let shard_count = shards.len();
+        let metrics = Arc::new(metrics);
         let faults = Arc::new(FaultInjector::from_env());
         let quarantine = Arc::new(Quarantine::new(shard_count, config.recovery.clone()));
         let (pool, handles) = match &config.maintenance {
@@ -607,16 +622,13 @@ impl ShardedService {
                     // Every installed generation swap rewrites the swapped shard's snapshot
                     // on the pool's build thread — the serve path never waits on a write,
                     // and a crash at any moment leaves the last atomically renamed file.
-                    // Best-effort: a failed write keeps serving and the next swap retries.
+                    // A failed write is counted, keeps serving, and the next swap retries.
                     let dir = dir.clone();
                     let engines = shards.clone();
+                    let metrics = metrics.clone();
                     pool.set_swap_hook(Some(Arc::new(move |slot| {
                         if let Some(engine) = engines.get(slot) {
-                            if std::fs::create_dir_all(&dir).is_ok() {
-                                let _ = engine
-                                    .read()
-                                    .write_snapshot_file(&shard_snapshot_path(&dir, slot));
-                            }
+                            write_shard_snapshot(&metrics, &dir, slot, engine);
                         }
                     })));
                 }
@@ -778,16 +790,12 @@ impl ShardedService {
         Ok(true)
     }
 
-    /// Best-effort snapshot write-through after shard `s` installed a generation outside the
-    /// build pool (explicit or recovery rebuilds — pool cycles go through the swap hook).
-    /// A failed write keeps serving; the next swap retries.
+    /// Snapshot write-through after shard `s` installed a generation outside the build pool
+    /// (explicit or recovery rebuilds — pool cycles go through the swap hook). A failed
+    /// write is counted and keeps serving; the next swap retries.
     fn snapshot_after_swap(&self, s: usize) {
         if let (Some(dir), Some(shard)) = (&self.snapshot_dir, self.shards.get(s)) {
-            if std::fs::create_dir_all(dir).is_ok() {
-                let _ = shard
-                    .read()
-                    .write_snapshot_file(&shard_snapshot_path(dir, s));
-            }
+            write_shard_snapshot(&self.metrics, dir, s, shard);
         }
     }
 
@@ -1113,6 +1121,7 @@ impl ShardedService {
                 streams,
                 merger,
                 ready: VecDeque::new(),
+                confirmed: Vec::new(),
                 emitted: Vec::new(),
                 answered: Vec::new(),
                 degraded,
@@ -1325,7 +1334,8 @@ impl ShardedService {
             )?;
         }
 
-        // Gather: cross-shard dominance merge under the query's effective orders.
+        // Gather: cross-shard dominance merge under the query's effective orders. Each
+        // outcome is its shard's skyline, the merger's per-source contract.
         let orders: Vec<CompiledOrder> = self
             .template
             .effective_orders(&self.schema, pref)?
@@ -1396,6 +1406,8 @@ struct LiveScatter {
     merger: ProgressiveMerger,
     /// Rows confirmed by the merger, not yet handed to the caller.
     ready: VecDeque<GlobalRowId>,
+    /// Scratch the merger drains into on every pull.
+    confirmed: Vec<(usize, PointId)>,
     /// Every row handed out so far (becomes the cached answer on a complete finish).
     emitted: Vec<GlobalRowId>,
     /// `(shard, method)` per cleanly finished shard.
@@ -1483,6 +1495,7 @@ impl ShardedStream<'_> {
                         frontier,
                         merger,
                         ready,
+                        confirmed,
                         emitted,
                         answered,
                         degraded,
@@ -1598,11 +1611,10 @@ impl ShardedStream<'_> {
                             self.service.check_policy(Some(s), degraded.len())?;
                         }
                     }
-                    let mut confirmed = Vec::new();
-                    merger.drain_ready(&mut confirmed);
+                    merger.drain_ready(confirmed);
                     ready.extend(
                         confirmed
-                            .into_iter()
+                            .drain(..)
                             .map(|(shard, row)| GlobalRowId { shard, row }),
                     );
                 }
@@ -2468,6 +2480,8 @@ mod tests {
         let id = service.insert_row(&[0.25, 0.25], &[1, 1]).unwrap();
         service.delete_row(id).unwrap();
         assert_eq!(service.force_rebuild_all().unwrap(), 2);
+        assert_eq!(service.stats().snapshot_writes, 2);
+        assert_eq!(service.stats().snapshot_write_failures, 0);
         // Every installed swap left its shard's snapshot behind; a cold start from them
         // carries the mutations (epochs, live rows, answers) without preprocessing.
         let loaded = ShardedService::from_snapshots(&dir, config()).unwrap();
@@ -2479,6 +2493,37 @@ mod tests {
             sharded_values(&service, &service.serve(&pref).unwrap()),
             sharded_values(&loaded, &loaded.serve(&pref).unwrap()),
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_snapshot_writes_are_counted_and_serving_continues() {
+        let (data, template) = experiment(200, 127);
+        let dir = scratch_dir("write-failure");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A regular file where the snapshot directory's parent should be: the directory
+        // can never be created, so every write-through fails.
+        let file = dir.join("regular-file");
+        std::fs::write(&file, b"not a directory").unwrap();
+        let service = ShardedService::build(
+            &data,
+            template.clone(),
+            EngineConfig::AdaptiveSfs,
+            ShardedConfig {
+                shards: 2,
+                workers: 2,
+                snapshot_dir: Some(file.join("snapshots")),
+                ..ShardedConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(service.force_rebuild_shard(0).unwrap());
+        let stats = service.stats();
+        assert_eq!(stats.snapshot_write_failures, 1);
+        assert_eq!(stats.snapshot_writes, 0);
+        let mut generator = QueryGenerator::new(131);
+        let pref = generator.random_preference(data.schema(), &template, 2, None);
+        assert!(!service.serve(&pref).unwrap().outcome.skyline.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,6 +27,8 @@ pub struct ServiceMetrics {
     stream_coalesced: AtomicU64,
     snapshot_loads: AtomicU64,
     snapshot_load_ns: AtomicU64,
+    snapshot_writes: AtomicU64,
+    snapshot_write_failures: AtomicU64,
     preprocess_build_ns: AtomicU64,
     latency_ns: [AtomicU64; BUCKETS],
     ttfr_ns: [AtomicU64; BUCKETS],
@@ -48,6 +50,8 @@ impl Default for ServiceMetrics {
             stream_coalesced: AtomicU64::new(0),
             snapshot_loads: AtomicU64::new(0),
             snapshot_load_ns: AtomicU64::new(0),
+            snapshot_writes: AtomicU64::new(0),
+            snapshot_write_failures: AtomicU64::new(0),
             preprocess_build_ns: AtomicU64::new(0),
             latency_ns: std::array::from_fn(|_| AtomicU64::new(0)),
             ttfr_ns: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -134,6 +138,17 @@ impl ServiceMetrics {
         );
     }
 
+    /// Records one snapshot write-through attempt: a written file, or a failure (the write
+    /// or its directory could not be made; the service keeps serving).
+    pub fn record_snapshot_write(&self, ok: bool) {
+        let counter = if ok {
+            &self.snapshot_writes
+        } else {
+            &self.snapshot_write_failures
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records wall time spent in from-scratch preprocessing builds (the cost a snapshot
     /// load avoids — compare [`StatsSnapshot::preprocess_build_ms`] against
     /// [`StatsSnapshot::snapshot_load_ms`]).
@@ -187,6 +202,8 @@ impl ServiceMetrics {
             reclaimed_rows: 0,
             snapshot_loads: self.snapshot_loads.load(Ordering::Relaxed),
             snapshot_load_ms: self.snapshot_load_ns.load(Ordering::Relaxed) / 1_000_000,
+            snapshot_writes: self.snapshot_writes.load(Ordering::Relaxed),
+            snapshot_write_failures: self.snapshot_write_failures.load(Ordering::Relaxed),
             preprocess_build_ms: self.preprocess_build_ns.load(Ordering::Relaxed) / 1_000_000,
             p50: percentile(&buckets, 0.50),
             p99: percentile(&buckets, 0.99),
@@ -271,6 +288,10 @@ pub struct StatsSnapshot {
     pub snapshot_loads: u64,
     /// Total wall time spent rehydrating engines from snapshots, in milliseconds.
     pub snapshot_load_ms: u64,
+    /// Snapshot files written through after generation swaps.
+    pub snapshot_writes: u64,
+    /// Snapshot write-throughs that failed; each left the previous file in place.
+    pub snapshot_write_failures: u64,
     /// Total wall time spent in from-scratch preprocessing builds, in milliseconds — the
     /// cost [`StatsSnapshot::snapshot_load_ms`] replaces on a snapshot bootstrap.
     pub preprocess_build_ms: u64,
@@ -330,6 +351,19 @@ mod tests {
         assert_eq!(s.stream_coalesced, 0);
         assert_eq!(s.ttfr_p50, Duration::ZERO);
         assert_eq!(s.ttfr_p99, Duration::ZERO);
+        assert_eq!(s.snapshot_writes, 0);
+        assert_eq!(s.snapshot_write_failures, 0);
+    }
+
+    #[test]
+    fn snapshot_writes_and_failures_count_apart() {
+        let m = ServiceMetrics::new();
+        m.record_snapshot_write(true);
+        m.record_snapshot_write(true);
+        m.record_snapshot_write(false);
+        let s = m.snapshot();
+        assert_eq!(s.snapshot_writes, 2);
+        assert_eq!(s.snapshot_write_failures, 1);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Streaming equivalence: the progressive result path is observationally equal to the batch
-//! path — for every mutable engine configuration, any shard count from 1 to 6, and with
-//! mutations landing mid-stream.
+//! path — for every mutable engine configuration, any shard count from 1 to 6, hash or range
+//! partitioning (the range split is the one the merger's bound rule prunes hardest), and
+//! with mutations landing mid-stream.
 //!
 //! Four properties per case:
 //!
@@ -16,7 +17,9 @@
 use proptest::prelude::*;
 use skyline::prelude::*;
 use skyline_core::score::ScoreFn;
-use skyline_service::{ServiceConfig, ShardedConfig, ShardedService, SkylineService};
+use skyline_service::{
+    ServiceConfig, ShardPartition, ShardedConfig, ShardedService, SkylineService,
+};
 use std::sync::Arc;
 
 const CARD: usize = 3;
@@ -71,6 +74,7 @@ proptest! {
     fn streaming_matches_batch_for_every_config_and_shard_count(
         initial in rows_strategy(),
         shards in 1usize..=6,
+        range_partition in any::<bool>(),
         mutate_mid_stream in any::<bool>(),
         query_choices in proptest::sample::subsequence(
             (0..CARD as ValueId).collect::<Vec<_>>(), 0..=2
@@ -80,6 +84,15 @@ proptest! {
         let template = Template::empty(data.schema());
         let pref = Preference::from_dims(vec![ImplicitPreference::new(query_choices).unwrap()]);
         let score = ScoreFn::for_preference(data.schema(), &pref).unwrap();
+        // Range split on x over [0, 6), or the default hash on the nominal dimension.
+        let partition = if range_partition {
+            ShardPartition::RangeNumeric {
+                dim: 0,
+                bounds: (1..shards).map(|i| (6 * i) as f64 / shards as f64).collect(),
+            }
+        } else {
+            ShardPartition::HashNominal { dim: 0 }
+        };
 
         for config in [
             EngineConfig::SfsD,
@@ -131,7 +144,12 @@ proptest! {
                 &data,
                 template.clone(),
                 config,
-                ShardedConfig { shards, workers: 2, ..ShardedConfig::default() },
+                ShardedConfig {
+                    shards,
+                    partition: partition.clone(),
+                    workers: 2,
+                    ..ShardedConfig::default()
+                },
             )
             .unwrap();
             let mut stream = sharded.serve_streaming(&pref).unwrap();
@@ -153,9 +171,10 @@ proptest! {
                 .collect();
             prop_assert!(
                 scores.windows(2).all(|w| w[0] <= w[1]),
-                "sharded score order violated ({:?}, {} shards): {:?}",
+                "sharded score order violated ({:?}, {} shards, {:?}): {:?}",
                 config,
                 shards,
+                partition,
                 scores
             );
             let mut values: Vec<ValueKey> = global
@@ -166,9 +185,10 @@ proptest! {
             prop_assert_eq!(
                 &values,
                 &expected_values,
-                "sharded set mismatch ({:?}, {} shards)",
+                "sharded set mismatch ({:?}, {} shards, {:?})",
                 config,
-                shards
+                shards,
+                partition
             );
         }
     }

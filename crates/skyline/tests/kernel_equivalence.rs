@@ -14,12 +14,15 @@
 //!    produces a **bit-for-bit identical** sorted list for any worker count, and engines of
 //!    every [`EngineConfig`] answer queries identically no matter how their Adaptive SFS
 //!    structure was preprocessed.
+//! 4. The source-aware mergers ≡ reference BNL over the union: `SkylineMerger`,
+//!    `ProgressiveMerger` and `merge_skylines`, fed per-source skylines of a hash or range
+//!    split, return exactly the global skyline — duplicates across sources included.
 
 use proptest::prelude::*;
 use skyline::prelude::*;
 use skyline_core::algo::{bnl, sfs};
 use skyline_core::score::ScoreFn;
-use skyline_core::{merge_skylines, PartialOrder};
+use skyline_core::{merge_skylines, CompiledOrder, PartialOrder, ProgressiveMerger, SkylineMerger};
 
 /// A compact description of a random test instance.
 #[derive(Debug, Clone)]
@@ -211,6 +214,147 @@ proptest! {
                 "scratch second pass, config {:?}", config
             );
         }
+    }
+}
+
+/// Whether `sub` appears in `seq` in order (not necessarily contiguously).
+fn is_subsequence<T: PartialEq>(sub: &[T], seq: &[T]) -> bool {
+    let mut rest = seq.iter();
+    sub.iter().all(|x| rest.any(|y| y == x))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+    /// The three mergers against reference BNL over the union, on small-integer rows whose
+    /// first `dups` rows are repeated at the end, split into 1–6 sources by a hash of the row
+    /// id or by range on numeric dimension 0, each source fed as its reference-BNL skyline
+    /// in ascending query score.
+    #[test]
+    fn source_aware_mergers_equal_reference_bnl(
+        instance in instance_strategy(),
+        dups in 0usize..4,
+        sources in 1usize..=6,
+        range_split in any::<bool>(),
+        interleave_seed in any::<u64>(),
+    ) {
+        let mut instance = instance;
+        let rows = instance.numeric[0].len();
+        let dups = dups.min(rows);
+        for column in &mut instance.numeric {
+            column.extend_from_within(..dups);
+        }
+        for column in &mut instance.nominal {
+            column.extend_from_within(..dups);
+        }
+        let data = build_dataset(&instance);
+        let template = build_template(&data, &instance);
+        let query = build_query(&template, &instance);
+        let ctx = DominanceContext::for_query(&data, &template, &query).unwrap();
+        let kernel = CompiledRelation::compile_query(&data, &template, &query).unwrap();
+        let score = ScoreFn::for_preference(data.schema(), &query).unwrap();
+        let orders: Vec<CompiledOrder> = template
+            .effective_orders(data.schema(), &query)
+            .unwrap()
+            .iter()
+            .map(CompiledOrder::compile)
+            .collect();
+        let all: Vec<PointId> = data.point_ids().collect();
+        let mut expected = bnl::skyline_of(&ctx, &all);
+        expected.sort_unstable();
+
+        // Numeric values are integers in [0, 6): the range split bins them evenly.
+        let source_of = |p: PointId| {
+            if range_split {
+                data.numeric(p, 0) as usize * sources / 6
+            } else {
+                (u64::from(p).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as usize % sources
+            }
+        };
+        let streams: Vec<Vec<PointId>> = (0..sources)
+            .map(|s| {
+                let rows: Vec<PointId> = all.iter().copied().filter(|&p| source_of(p) == s).collect();
+                score.sort_by_score(&data, &bnl::skyline_of(&ctx, &rows))
+            })
+            .collect();
+        let values = |p: PointId| {
+            let numeric: Vec<f64> = (0..2).map(|j| data.numeric(p, j)).collect();
+            let nominal: Vec<ValueId> = (0..2).map(|j| data.nominal(p, j)).collect();
+            (numeric, nominal)
+        };
+        let sorted_ids = |tags: &[(usize, PointId)]| {
+            let mut ids: Vec<PointId> = tags.iter().map(|&(_, p)| p).collect();
+            ids.sort_unstable();
+            ids
+        };
+        // A duplicated row and its copy are both in the skyline or both out.
+        let duplicates_agree = |ids: &[PointId]| {
+            (0..dups).all(|k| {
+                ids.contains(&(k as PointId)) == ids.contains(&((rows + k) as PointId))
+            })
+        };
+
+        // Batch merger: push order kept.
+        let pushed: Vec<(usize, PointId)> = streams
+            .iter()
+            .enumerate()
+            .flat_map(|(s, stream)| stream.iter().map(move |&p| (s, p)))
+            .collect();
+        let mut batch = SkylineMerger::new(orders.clone(), 2);
+        for &(s, p) in &pushed {
+            let (numeric, nominal) = values(p);
+            batch.push(s, p, &numeric, &nominal).unwrap();
+        }
+        let merged = batch.merge();
+        prop_assert!(is_subsequence(&merged, &pushed), "batch push order");
+        prop_assert_eq!(&sorted_ids(&merged), &expected, "SkylineMerger");
+        prop_assert!(duplicates_agree(&sorted_ids(&merged)));
+        prop_assert_eq!(batch.stats().survivors, expected.len() as u64);
+        if streams.iter().filter(|s| !s.is_empty()).count() <= 1 {
+            prop_assert_eq!(batch.stats().lane_blocks_probed, 0, "one source is a pass-through");
+        }
+
+        // Single-block merge: concatenated fragment order kept.
+        let views: Vec<&[PointId]> = streams.iter().map(Vec::as_slice).collect();
+        let concatenated: Vec<PointId> = views.concat();
+        let merged = merge_skylines(&kernel, &views);
+        prop_assert!(is_subsequence(&merged, &concatenated), "merge_skylines input order");
+        let mut ids = merged.clone();
+        ids.sort_unstable();
+        prop_assert_eq!(&ids, &expected, "merge_skylines");
+
+        // Progressive merger: a random interleaving of offers, draining after each step.
+        let mut progressive = ProgressiveMerger::new(orders, 2, sources);
+        let mut state = interleave_seed | 1;
+        let mut pos = vec![0usize; sources];
+        let mut active: Vec<usize> = (0..sources).collect();
+        let mut out = Vec::new();
+        while !active.is_empty() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let pick = (state % active.len() as u64) as usize;
+            let s = active[pick];
+            match streams[s].get(pos[s]) {
+                Some(&p) => {
+                    let (numeric, nominal) = values(p);
+                    progressive
+                        .offer(s, p, score.score(&data, p), &numeric, &nominal)
+                        .unwrap();
+                    pos[s] += 1;
+                }
+                None => {
+                    progressive.finish(s);
+                    active.swap_remove(pick);
+                }
+            }
+            progressive.drain_ready(&mut out);
+        }
+        prop_assert!(progressive.is_complete());
+        let scores: Vec<f64> = out.iter().map(|&(_, p)| score.score(&data, p)).collect();
+        prop_assert!(scores.windows(2).all(|w| w[0] <= w[1]), "progressive score order");
+        prop_assert_eq!(&sorted_ids(&out), &expected, "ProgressiveMerger");
+        prop_assert!(duplicates_agree(&sorted_ids(&out)));
     }
 }
 
